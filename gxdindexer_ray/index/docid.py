@@ -69,3 +69,13 @@ def doc_id_column(url_col: pa.Array | pa.ChunkedArray) -> pa.Array:
     (see blake2b_rows) — same values as doc_id_of per row."""
     d = blake2b_rows(url_col, 8)[:, 0]
     return pa.array((d & np.uint64(_MASK63)).astype(np.int64), type=pa.int64())
+
+
+def sorted_member(ids: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
+    """Boolean mask over ``ids``: which occur in the ascending array
+    ``sorted_ids`` (binary search — the doc_id exclusion and tombstone
+    sets are kept sorted, so no hash set is ever built)."""
+    if sorted_ids.size == 0:
+        return np.zeros(np.shape(ids), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+    return sorted_ids[pos] == ids

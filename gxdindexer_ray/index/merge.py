@@ -1,14 +1,18 @@
-"""Bucket-level posting merge: the groupby shuffle reducer.
+"""Bucket-level posting merge: the reduce side of the posting exchange.
 
-``groupby("bucket").map_groups(BucketMerger)`` — one group per segment
-bucket (n_buckets is FIXED in config, never derived from cluster size, so
-segment bytes are parallelism-invariant). Within a bucket the merge is
-vectorized per (term, shard): decode partial payloads, concatenate, argsort
-by docID (partials from different batches interleave across the hash-docID
-space; docs are unique per term after url dedup), re-encode with skip
-pointers + block-max, and write the bucket's immutable segment file
-tmp+rename. This k-way merge into immutable segments *is* the reference's
-delegated Solr merge/optimize step (reference Indexer.java:136-148).
+The build's SPIMI map tasks write compressed partial files straight into
+one directory per segment bucket (an exchange through storage, no sort
+shuffle); the build then runs one ``ray.remote(merge_bucket_files)`` task
+per bucket over that bucket's partial files, largest bucket first.
+n_buckets is FIXED in config (or a pure function of N), never derived
+from cluster size, so segment bytes are parallelism-invariant. Within a
+bucket the merge is vectorized per (term, shard): decode partial
+payloads, concatenate, argsort by docID (partials from different batches
+interleave across the hash-docID space; docs are unique per term after
+url dedup), re-encode with skip pointers + block-max, and write the
+bucket's immutable segment file tmp+rename. This k-way merge into
+immutable segments *is* the reference's delegated Solr merge/optimize
+step (reference Indexer.java:136-148).
 
 Returns one manifest row per bucket (lineage + metrics: n_terms,
 n_postings, payload bytes in = bytes shuffled, bytes out).
@@ -161,8 +165,9 @@ def merge_bucket_files(bucket_files: list[str], segments_dir: str, avgdl: float,
 
 
 class BucketMerger:
-    """map_groups callable. Stateless besides config; written as a class so
-    segments_dir/avgdl arrive once via fn_constructor_kwargs."""
+    """Merges one bucket's (or one slot's) partial rows into a segment
+    file. Stateless besides config: merge_bucket_files builds one per
+    task and calls it per slot."""
 
     def __init__(self, segments_dir: str, avgdl: float, cfg: IndexConfig | None = None):
         self.segments_dir = Path(segments_dir)

@@ -27,6 +27,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..index.docid import sorted_member
+
 
 import threading
 
@@ -1037,21 +1039,6 @@ def add_hash_bucket(ds, cols: list[str], n_buckets: int, out: str = "__bucket"):
     return ds.map_batches(f, batch_format="pandas")
 
 
-def add_mod_bucket(ds, col: str, n_buckets: int, out: str = "__bucket"):
-    def f(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[out] = (batch[col].astype(np.int64) % n_buckets).astype(np.int32)
-        return batch
-
-    return ds.map_batches(f, batch_format="pandas")
-
-
-def bucketed_apply(ds, bucket_col: str, fn):
-    """Vectorized pandas fn per bucket — fn sees ALL rows of the bucket
-    (guaranteed: routed through hash_exchange_apply, not map_groups) and
-    must handle multiple keys internally."""
-    return hash_exchange_apply(ds, bucket_col, fn, batch_format="pandas")
-
-
 def dedup_first(ds, key_cols: list[str], order_cols: list[str], n_buckets: int = 64):
     """Exact per-key first-wins dedup (D3): hash-bucket by key, sort+drop
     within bucket. The in-batch pre-dedup (shrinks the shuffle) and the
@@ -1134,9 +1121,7 @@ class _RangedIdFilter:
         for ci in range(first, last):
             chunk = ray.get(self.refs[ci])[self.id_col] \
                 .to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(chunk, ids)
-            pos_c = np.minimum(pos, chunk.size - 1)
-            hit |= (pos < chunk.size) & (chunk[pos_c] == ids)
+            hit |= sorted_member(ids, chunk)
         mask = hit if self.keep else ~hit
         return batch.filter(pa.array(mask))
 

@@ -13,11 +13,16 @@ the reference lacks, see state/manifest.py):
                 duplicate LOSER rows are dropped from their files in a
                 sparse per-file rewrite ("ship keys, not payloads": at
                 <1%% duplicates the payload never moves twice)
-  P1 stats    : columnar scan of dl only -> N, avgdl -> stats.json
+  P1 stats    : N, avgdl -> stats.json (from P0's key rows, no scan)
   P2 hotterms : deterministic doc_id hash-sample -> sampled df -> hot set
+                (from pairs P0 sampled while the text was in memory)
   P3 segments : tokenize + SPIMI partial tasks writing a per-bucket file
                 exchange -> one merge task per bucket -> segment files
                 + per-bucket lineage rows -> segments_manifest.json
+
+P1-P3 and metrics.json are one runner, _derive_index, shared with the
+filtered sub-index build and compaction: those start from a docstore that
+is already on disk, so their P1/P2 are scans of it.
 
 Reference parity: this is GxdResultIndexer.index()'s scan->derive->write
 spine (GxdResultIndexer.java:935-1266) with the index build internalized
@@ -37,12 +42,12 @@ import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, IndexConfig
-from ..index.docid import doc_id_column
-from ..index.merge import merge_bucket_files, MANIFEST_SCHEMA
+from ..index.docid import doc_id_column, sorted_member
+from ..index.merge import merge_bucket_files
 from ..index.spimi import make_spimi_writer_fn
 from ..state.manifest import PhaseManifest, atomic_write_json, config_key, fingerprint_inputs, read_json
 from ..text.extract import extract_column
-from ..text.tokenize import doc_term_counts  # noqa: F401 (P2 sampling)
+from ..text.tokenize import doc_term_counts
 
 DOCSTORE_SCHEMA = pa.schema(
     [
@@ -152,16 +157,12 @@ def make_docstore_writer_fn(docs_tmp: str, sample_tmp: str | None = None,
             # exclusion set is a sorted int64 array broadcast once via
             # ray.put; at 10^12-doc scale swap it for per-doc-range bloom
             # filters keyed by the same range buckets as the docstore.
-            excl = ray.get(exclude_ids_ref)
-            if excl.size:
-                ids0 = doc_id_column(batch["url"]).to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(excl, ids0)
-                pos_c = np.minimum(pos, excl.size - 1)
-                hit = (pos < excl.size) & (excl[pos_c] == ids0)
-                if hit.any():
-                    batch = batch.filter(pa.array(~hit))
-                if batch.num_rows == 0:
-                    return _KEYS_SCHEMA.empty_table()
+            hit = sorted_member(doc_id_column(batch["url"]).to_numpy(zero_copy_only=False),
+                                ray.get(exclude_ids_ref))
+            if hit.any():
+                batch = batch.filter(pa.array(~hit))
+            if batch.num_rows == 0:
+                return _KEYS_SCHEMA.empty_table()
         tbl = _extract_slim(batch)
         fname = f"part-{os.getpid()}-{uuid.uuid4().hex[:8]}.parquet"
         # small row groups + per-file doc_id sort -> row-group-stat pruning
@@ -221,11 +222,7 @@ def make_prior_keys_fn(dead_ref):
     def f(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         if dead_ref is not None:
-            dead = ray.get(dead_ref)
-            if dead.size and ids.size:
-                pos = np.searchsorted(dead, ids)
-                pos_c = np.minimum(pos, dead.size - 1)
-                ids = ids[~((pos < dead.size) & (dead[pos_c] == ids))]
+            ids = ids[~sorted_member(ids, ray.get(dead_ref))]
         n = ids.size
         i64_min = np.iinfo(np.int64).min
         return pa.table({
@@ -250,13 +247,13 @@ def _find_losers(g: pa.Table) -> pa.Table:
     GxdResultIndexer.java:718-756). Emits the (file, row) addresses of
     every LOSER row. Content-deterministic: ties beyond the hash can only
     occur for byte-equal text, where either copy is the same document."""
+    n = g.num_rows
+    if n <= 1:  # also the column-less table an exchange with no keys hands over
+        return _KEYS_SCHEMA.empty_table().select(["file", "row", "dl"])
     order = pc.sort_indices(g, sort_keys=[(k, "ascending")
                                           for k in _KEY_SORT + ["file", "row"]])
     g = g.take(order)
     ids = g["doc_id"].combine_chunks()
-    n = len(ids)
-    if n <= 1:
-        return g.select(["file", "row", "dl"]).slice(0, 0)
     dup = pa.concat_arrays([pa.array([False]),
                             pc.equal(ids.slice(1, n - 1), ids.slice(0, n - 1))])
     return g.select(["file", "row", "dl"]).filter(dup)
@@ -410,7 +407,6 @@ def build_index(
         key += f"-xk:{key_salt}"
     out.mkdir(parents=True, exist_ok=True)
     docs_dir = out / "docs"
-    segments_dir = out / "segments"
     metrics: dict = {"phases": {}}
 
     # ---------------- P0: docstore ------------------------------------
@@ -435,8 +431,7 @@ def build_index(
         import pyarrow.parquet as _pq
 
         n0 = sum(_pq.ParquetFile(f).metadata.num_rows for f in input_files)
-        frac = min(1.0, cfg.hot_sample_target / max(1, n0))
-        sample_cut = min(int((1 << 63) * frac), (1 << 63) - 1)
+        sample_cut = _sample_cut(n0, cfg)
         # one block per extract batch + batch_size=None -> Ray FUSES the
         # read into the map task, so the wide html column goes straight
         # from the parquet reader into extract without an object-store
@@ -512,21 +507,37 @@ def build_index(
                 n_docs=int(keys.count()) - n_prior - n_losers,
                 total_dl=int(keys.sum("dl") or 0) - losers_dl)
     metrics["phases"]["docstore"] = round(time.perf_counter() - t0, 3)
-
     doc_files = sorted(str(p) for p in docs_dir.glob("*.parquet"))
+    return _derive_index(out, doc_files, cfg, key, resume, metrics,
+                         from_p0=read_json(p0.path))
+
+
+def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
+                  resume: bool, metrics: dict, from_p0: dict | None = None) -> dict:
+    """Everything after the docstore, in one place for every entry point
+    (build_index, build_filtered_index, compact_index; append_index builds
+    through build_index): P1 corpus stats -> P2 hot terms -> P3 segments ->
+    metrics.json. Each phase seals its manifest under ``key`` and is
+    skipped on a resume with the same key. ``from_p0`` is the sealed P0
+    manifest of a build from pages: its key-row counts give the stats with
+    no scan, and the pairs P0 sampled give the hot terms with no docstore
+    re-read. Without it (a filtered subset, a compaction's union) both are
+    scans of ``doc_files`` — the files on disk are the only truth."""
+    import shutil
+
+    phases = metrics["phases"]
 
     # ---------------- P1: corpus stats --------------------------------
     p1 = PhaseManifest(out, "stats", key)
     t0 = time.perf_counter()
-    stats_path = out / "stats.json"
     if not (resume and p1.is_complete()):
-        p0_meta = read_json(p0.path) or {}
-        if "n_docs" in p0_meta:  # derived from P0's key rows — no scan
-            N, total_dl = int(p0_meta["n_docs"]), int(p0_meta["total_dl"])
-        else:  # docstore from an older build layout: fall back to a dl scan
+        if from_p0 is not None:
+            N, total_dl = int(from_p0["n_docs"]), int(from_p0["total_dl"])
+        elif doc_files:  # columnar scan of dl only
             dls = rd.read_parquet(doc_files, columns=["dl"])
-            N = int(dls.count())
-            total_dl = int(dls.sum("dl") or 0)
+            N, total_dl = int(dls.count()), int(dls.sum("dl") or 0)
+        else:
+            N = total_dl = 0
         stats = {
             "N": N,
             "total_dl": total_dl,
@@ -539,106 +550,55 @@ def build_index(
             # sniff read an entire binary column per append)
             "store_positions": bool(cfg.store_positions),
         }
-        atomic_write_json(stats_path, stats)
+        atomic_write_json(out / "stats.json", stats)
         p1.seal(**stats)
-    stats = read_json(stats_path)
-    metrics["phases"]["stats"] = round(time.perf_counter() - t0, 3)
+    stats = read_json(out / "stats.json")
+    phases["stats"] = round(time.perf_counter() - t0, 3)
 
-    # ---------------- P2: hot-term detection --------------------------
-    # Deterministic hash-sample: doc_id < cut. Partition-invariant, so the
-    # hot set (and therefore segment bytes) never depends on parallelism.
     p2 = PhaseManifest(out, "hotterms", key)
-    t0 = time.perf_counter()
     hot_path = out / "hot_terms.json"
-    if not (resume and p2.is_complete()):
-        sample_dir = out / "hotsample"
-        sample_files = sorted(str(p) for p in sample_dir.glob("*.parquet")) \
-            if sample_dir.exists() else []
-        if sample_files or sample_dir.exists():
-            # pairs were emitted during P0 (no docstore re-read); drop the
-            # pairs of dedup-loser rows so the sample covers winners only
-            loser_keys: set[tuple[str, int]] = set()
-            losers_dir = out / "losers"
-            if losers_dir.exists():
-                import pyarrow.parquet as _pq
+    if not stats["N"]:
+        # empty corpus (a re-append of pages the index already owns, a
+        # predicate that matches nothing, a compaction after every doc was
+        # deleted): nothing to sample or post, but every artifact a reader
+        # opens is still written
+        shutil.rmtree(out / "segments", ignore_errors=True)
+        (out / "segments").mkdir(parents=True)
+        atomic_write_json(out / "segments_manifest.json", {"buckets": []})
+        PhaseManifest(out, "segments", key).seal(n_buckets=0)
+        hot_terms = []
+        atomic_write_json(hot_path, {"hot_terms": hot_terms, "sampled_docs": 0})
+        p2.seal(n_hot=0, sampled_docs=0)
+        phases.update(hotterms=0.0, segments=0.0)
+    else:
+        # ------------ P2: hot-term detection --------------------------
+        # Deterministic hash-sample: doc_id < cut. Partition-invariant, so
+        # the hot set (and therefore segment bytes) never depends on
+        # parallelism.
+        t0 = time.perf_counter()
+        if not (resume and p2.is_complete()):
+            hot, sampled_docs = (_hot_from_p0_sample(out, cfg) if from_p0 is not None
+                                 else _hot_from_scan(doc_files, stats["N"], cfg))
+            atomic_write_json(hot_path, {"hot_terms": hot, "sampled_docs": sampled_docs})
+            p2.seal(n_hot=len(hot), sampled_docs=sampled_docs)
+        hot_terms = read_json(hot_path)["hot_terms"]
+        phases["hotterms"] = round(time.perf_counter() - t0, 3)
 
-                for f in losers_dir.glob("*.parquet"):
-                    lt = _pq.read_table(f, columns=["file", "row"])
-                    loser_keys.update(zip(lt["file"].to_pylist(), lt["row"].to_pylist()))
-            # coalesce the pair files into a few big blocks first: the
-            # driver merges one vocab-sized partial per BLOCK, so block
-            # count — not file count — sets the merge cost
-            sample = rd.read_parquet(sample_files).repartition(max(8, _n_cpus())) \
-                if sample_files else None
+        # ------------ P3: SPIMI partials -> exchange -> merged segments
+        t0 = time.perf_counter()
+        _segments_phase(out, doc_files, stats, hot_terms, cfg, key, resume)
+        phases["segments"] = round(time.perf_counter() - t0, 3)
 
-            loser_files = sorted({f for f, _ in loser_keys})
-
-            def _pair_df(batch: pa.Table) -> pa.Table:
-                if loser_files:
-                    # file-level prefilter (losers touch few files), then a
-                    # row-level check on only the matching rows
-                    fmask = pc.is_in(batch["file"], value_set=pa.array(loser_files))
-                    hit = np.flatnonzero(pc.fill_null(fmask, False).to_numpy(zero_copy_only=False))
-                    if hit.size:
-                        files = batch["file"].take(pa.array(hit)).to_pylist()
-                        rows = batch["row"].take(pa.array(hit)).to_pylist()
-                        drop = hit[[(f, r) in loser_keys for f, r in zip(files, rows)]]
-                        if drop.size:
-                            keep = np.ones(batch.num_rows, bool)
-                            keep[drop] = False
-                            batch = batch.filter(pa.array(keep))
-                vc = pc.value_counts(batch["term"].combine_chunks())
-                return pa.table({"term": vc.field("values"),
-                                 "df": vc.field("counts").cast(pa.int64())})
-
-            if sample is not None:
-                hot, sampled_docs = _hot_from_partials(
-                    sample.map_batches(_pair_df, batch_format="pyarrow",
-                                       batch_size=None),
-                    cfg.hot_df_ratio)
-            else:
-                hot, sampled_docs = [], 0
-        else:
-            # older docstore layout: re-scan the docstore for the sample
-            N = max(1, stats["N"])
-            frac = min(1.0, cfg.hot_sample_target / N)
-            cut = min(int((1 << 63) * frac), (1 << 63) - 1)
-            sample = rd.read_parquet(doc_files, columns=["doc_id", "text"],
-                                     filter=pc.field("doc_id") < cut)
-
-            def _sample_df(batch: pa.Table) -> pa.Table:
-                # df per term = count of distinct (doc, term) pairs in batch
-                vocab, _, codes, _ = doc_term_counts(batch["text"])
-                df = np.bincount(codes, minlength=len(vocab)).astype(np.int64) if codes.size else np.empty(0, np.int64)
-                tbl = pa.table({"term": vocab, "df": pa.array(df, pa.int64())})
-                meta = pa.table({"term": pa.array(["\x00__doc__"]),
-                                 "df": pa.array([batch.num_rows], pa.int64())})
-                return pa.concat_tables([tbl, meta])
-
-            hot, sampled_docs = _hot_from_partials(
-                sample.map_batches(_sample_df, batch_format="pyarrow",
-                                   batch_size=1024),
-                cfg.hot_df_ratio)
-        atomic_write_json(hot_path, {"hot_terms": hot, "sampled_docs": sampled_docs})
-        p2.seal(n_hot=len(hot), sampled_docs=sampled_docs)
-    hot_terms = read_json(hot_path)["hot_terms"]
-    metrics["phases"]["hotterms"] = round(time.perf_counter() - t0, 3)
-
-    # ---------------- P3: SPIMI partials -> shuffle -> merged segments -
-    t0 = time.perf_counter()
-    _segments_phase(out, doc_files, stats, hot_terms, cfg, key, resume)
-    metrics["phases"]["segments"] = round(time.perf_counter() - t0, 3)
-
-    seg_manifest = read_json(out / "segments_manifest.json")
+    buckets = read_json(out / "segments_manifest.json")["buckets"]
     metrics.update(
         N=stats["N"],
         avgdl=stats["avgdl"],
         n_hot_terms=len(hot_terms),
-        n_postings=sum(r["n_postings"] for r in seg_manifest["buckets"]),
-        bytes_shuffled=sum(r["bytes_in"] for r in seg_manifest["buckets"]),
-        bytes_segments=sum(r["bytes_out"] for r in seg_manifest["buckets"]),
+        n_postings=sum(r["n_postings"] for r in buckets),
+        bytes_shuffled=sum(r["bytes_in"] for r in buckets),
+        bytes_segments=sum(r["bytes_out"] for r in buckets),
     )
-    total = sum(metrics["phases"].values())
+    total = sum(phases.values())
     metrics["wall_sec"] = round(total, 3)
     metrics["docs_per_sec"] = round(stats["N"] / total, 1) if total else None
     metrics["postings_per_sec"] = round(metrics["n_postings"] / total, 1) if total else None
@@ -646,11 +606,80 @@ def build_index(
     return metrics
 
 
+def _sample_cut(n_docs: int, cfg: IndexConfig) -> int:
+    """doc_id cut of the hot-term hash sample: doc_id < cut keeps about
+    ``hot_sample_target`` of ``n_docs`` docs."""
+    frac = min(1.0, cfg.hot_sample_target / max(1, n_docs))
+    return min(int((1 << 63) * frac), (1 << 63) - 1)
+
+
+def _hot_from_p0_sample(out: Path, cfg: IndexConfig) -> tuple[list[str], int]:
+    """Hot terms from the (term, file, row) pairs P0 emitted into
+    ``hotsample/`` while the text was in memory, minus the pairs of the
+    dedup-loser rows listed in ``losers/``, so the sample covers winners
+    only."""
+    import pyarrow.parquet as pq
+
+    sample_files = sorted(str(p) for p in (out / "hotsample").glob("*.parquet"))
+    if not sample_files:
+        return [], 0
+    loser_keys: set[tuple[str, int]] = set()
+    for f in (out / "losers").glob("*.parquet"):
+        lt = pq.read_table(f, columns=["file", "row"])
+        loser_keys.update(zip(lt["file"].to_pylist(), lt["row"].to_pylist()))
+    loser_files = sorted({f for f, _ in loser_keys})
+
+    def _pair_df(batch: pa.Table) -> pa.Table:
+        if loser_files:
+            # file-level prefilter (losers touch few files), then a
+            # row-level check on only the matching rows
+            fmask = pc.is_in(batch["file"], value_set=pa.array(loser_files))
+            hit = np.flatnonzero(pc.fill_null(fmask, False).to_numpy(zero_copy_only=False))
+            if hit.size:
+                files = batch["file"].take(pa.array(hit)).to_pylist()
+                rows = batch["row"].take(pa.array(hit)).to_pylist()
+                drop = hit[[(f, r) in loser_keys for f, r in zip(files, rows)]]
+                if drop.size:
+                    keep = np.ones(batch.num_rows, bool)
+                    keep[drop] = False
+                    batch = batch.filter(pa.array(keep))
+        vc = pc.value_counts(batch["term"].combine_chunks())
+        return pa.table({"term": vc.field("values"),
+                         "df": vc.field("counts").cast(pa.int64())})
+
+    # coalesce the pair files into a few big blocks first: the driver
+    # merges one vocab-sized partial per BLOCK, so block count — not file
+    # count — sets the merge cost
+    sample = rd.read_parquet(sample_files).repartition(max(8, _n_cpus()))
+    return _hot_from_partials(sample.map_batches(_pair_df, batch_format="pyarrow",
+                                                 batch_size=None),
+                              cfg.hot_df_ratio)
+
+
+def _hot_from_scan(doc_files: list[str], n_docs: int, cfg: IndexConfig) -> tuple[list[str], int]:
+    """Hot terms from one scan of the docstore rows under the sample cut
+    (row-group stats on the doc_id-sorted files prune the rest)."""
+    sample = rd.read_parquet(doc_files, columns=["doc_id", "text"],
+                             filter=pc.field("doc_id") < _sample_cut(n_docs, cfg))
+
+    def _sample_df(batch: pa.Table) -> pa.Table:
+        # df per term = count of distinct (doc, term) pairs in batch
+        vocab, _, codes, _ = doc_term_counts(batch["text"])
+        df = np.bincount(codes, minlength=len(vocab)).astype(np.int64) if codes.size else np.empty(0, np.int64)
+        tbl = pa.table({"term": vocab, "df": pa.array(df, pa.int64())})
+        meta = pa.table({"term": pa.array(["\x00__doc__"]),
+                         "df": pa.array([batch.num_rows], pa.int64())})
+        return pa.concat_tables([tbl, meta])
+
+    return _hot_from_partials(sample.map_batches(_sample_df, batch_format="pyarrow",
+                                                 batch_size=1024),
+                              cfg.hot_df_ratio)
+
+
 def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: list[str],
                     cfg: IndexConfig, key: str, resume: bool) -> None:
-    """Shared P3: tokenize + SPIMI partials -> per-bucket file exchange ->
-    largest-first merges -> atomic segment swap (used by the flagship build
-    and the derived filtered-index build)."""
+    """P3 of _derive_index: tokenize + SPIMI partials -> per-bucket file
+    exchange -> largest-first merges -> atomic segment swap."""
     if cfg.n_buckets == 0:
         # auto bucket count: ~31k docs (~2M postings) per bucket, power of
         # two, clamped [32, 4096]. Pure function of post-dedup N — the
@@ -664,12 +693,6 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         cfg = replace(cfg, n_buckets=eff)
     segments_dir = out / "segments"
     p3 = PhaseManifest(out, "segments", key)
-    seg_manifest_path = out / "segments_manifest.json"
-    if not doc_files:
-        segments_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(seg_manifest_path, {"buckets": []})
-        p3.seal(n_buckets=0, n_postings=0, bytes_shuffled=0, bytes_segments=0)
-        return
     if not (resume and p3.is_complete()):
         import shutil
 
@@ -699,8 +722,6 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         # ~16 concurrent merges just thrash shared memory bandwidth (see
         # BASELINE.md §3), so each task claims extra CPU slots to cap
         # effective concurrency without changing results.
-        import os as _os
-
         ncpu = int(ray.cluster_resources().get("CPU", 4))
         # merge into a fresh tmp dir, then swap atomically: a rebuild whose
         # new bucket set doesn't cover the old one (n_buckets reduced, input
@@ -721,10 +742,10 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         # (measured at 32 CPUs on 2M docs: 8 concurrent 41.7s, 16
         # concurrent 59-102s, 32 concurrent 81.6s; on 1M docs ~14-16
         # concurrent is optimal). Budget ~768 MB of decoded working set in
-        # flight per node; GXDRAY_MERGE_CPUS overrides for experiments.
+        # flight per node.
         max_bucket = max(bucket_bytes.values(), default=1)
         target_conc = max(4, min(ncpu, int((768 << 20) // max(1, max_bucket * 2.5))))
-        merge_cpus = int(_os.environ.get("GXDRAY_MERGE_CPUS", "0")) or max(1, ncpu // target_conc)
+        merge_cpus = max(1, ncpu // target_conc)
         merge_task = ray.remote(num_cpus=merge_cpus)(merge_bucket_files)
         futs = [
             merge_task.remote(by_bucket[bk], str(seg_tmp), stats["avgdl"], cfg,
@@ -740,7 +761,7 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         for r in rows:  # lineage paths must point at the final location
             r["path"] = ";".join(str(segments_dir / Path(p).name)
                                  for p in r["path"].split(";"))
-        atomic_write_json(seg_manifest_path, {"buckets": rows})
+        atomic_write_json(out / "segments_manifest.json", {"buckets": rows})
         p3.seal(
             n_buckets=len(rows),
             n_postings=sum(r["n_postings"] for r in rows),
@@ -789,6 +810,7 @@ def build_filtered_index(
         tmp_docs = out / ".docs.tmp"
         if tmp_docs.exists():
             shutil.rmtree(tmp_docs)
+        tmp_docs.mkdir(parents=True)  # Ray writes no file for an empty subset
         ds = rd.read_parquet(base_docs, filter=predicate)
         ds.write_parquet(str(tmp_docs), compression="lz4")
         if docs_dir.exists():
@@ -798,62 +820,5 @@ def build_filtered_index(
     metrics["phases"]["docstore"] = round(time.perf_counter() - t0, 3)
     doc_files = sorted(str(p) for p in docs_dir.glob("*.parquet"))
 
-    # P1f: sub-corpus stats (scan — the filtered subset defines idf/avgdl)
-    p1 = PhaseManifest(out, "stats", key)
-    t0 = time.perf_counter()
-    stats_path = out / "stats.json"
-    if not (resume and p1.is_complete()):
-        dls = rd.read_parquet(doc_files, columns=["dl"]) if doc_files else None
-        N = int(dls.count()) if dls is not None else 0
-        total_dl = int(dls.sum("dl") or 0) if (dls is not None and N) else 0
-        stats = {"N": N, "total_dl": total_dl, "avgdl": (total_dl / N) if N else 0.0,
-                 "k1": cfg.k1, "b": cfg.b, "block_size": cfg.block_size,
-                 "store_positions": bool(cfg.store_positions)}
-        atomic_write_json(stats_path, stats)
-        p1.seal(**stats)
-    stats = read_json(stats_path)
-    metrics["phases"]["stats"] = round(time.perf_counter() - t0, 3)
-
-    # P2f: hot terms over the subset (doc_id hash-sample, scan variant)
-    p2 = PhaseManifest(out, "hotterms", key)
-    t0 = time.perf_counter()
-    hot_path = out / "hot_terms.json"
-    if not (resume and p2.is_complete()):
-        N = max(1, stats["N"])
-        frac = min(1.0, cfg.hot_sample_target / N)
-        cut = min(int((1 << 63) * frac), (1 << 63) - 1)
-        sample = rd.read_parquet(doc_files, columns=["doc_id", "text"],
-                                 filter=pc.field("doc_id") < cut)
-
-        def _sample_df(batch: pa.Table) -> pa.Table:
-            vocab, _, codes, _ = doc_term_counts(batch["text"])
-            df = np.bincount(codes, minlength=len(vocab)).astype(np.int64) if codes.size else np.empty(0, np.int64)
-            tbl = pa.table({"term": vocab, "df": pa.array(df, pa.int64())})
-            meta = pa.table({"term": pa.array(["\x00__doc__"]),
-                             "df": pa.array([batch.num_rows], pa.int64())})
-            return pa.concat_tables([tbl, meta])
-
-        hot, sampled_docs = _hot_from_partials(
-            sample.map_batches(_sample_df, batch_format="pyarrow",
-                               batch_size=1024),
-            cfg.hot_df_ratio)
-        atomic_write_json(hot_path, {"hot_terms": hot, "sampled_docs": sampled_docs})
-        p2.seal(n_hot=len(hot), sampled_docs=sampled_docs)
-    hot_terms = read_json(hot_path)["hot_terms"]
-    metrics["phases"]["hotterms"] = round(time.perf_counter() - t0, 3)
-
-    # P3: shared segments phase
-    t0 = time.perf_counter()
-    _segments_phase(out, doc_files, stats, hot_terms, cfg, key, resume)
-    metrics["phases"]["segments"] = round(time.perf_counter() - t0, 3)
-
-    seg_manifest = read_json(out / "segments_manifest.json")
-    metrics.update(
-        N=stats["N"], avgdl=stats["avgdl"], n_hot_terms=len(hot_terms),
-        n_postings=sum(r["n_postings"] for r in seg_manifest["buckets"]),
-        bytes_shuffled=sum(r["bytes_in"] for r in seg_manifest["buckets"]),
-        bytes_segments=sum(r["bytes_out"] for r in seg_manifest["buckets"]),
-    )
-    metrics["wall_sec"] = round(sum(metrics["phases"].values()), 3)
-    atomic_write_json(out / "metrics.json", metrics)
-    return metrics
+    # the subset defines idf/avgdl and the hot set: both are scanned
+    return _derive_index(out, doc_files, cfg, key, resume, metrics)

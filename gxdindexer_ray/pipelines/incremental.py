@@ -29,11 +29,16 @@ the existing build machinery:
   docs, tested). The reference's only delete path is truncate-rebuild
   (Indexer.java:83-89).
 
-Scale notes: the cross-generation exclusion set ships as one sorted int64
-array via ``ray.put`` (8 B/doc; ~8 GB at 10^9 docs — beyond that, replace
-with per-doc-range bloom filters bucketed like the docstore files, noted
-at the filter site in build.py). Compaction is one docstore scan plus the
-standard segments phase — no decode of existing generation segments.
+Scale notes: cross-generation exclusion has two paths, picked by prior
+corpus size (EXCHANGE_EXCLUSION_THRESHOLD, estimated from parquet
+metadata). Small bases broadcast: the prior ids ship as one sorted int64
+array via ``ray.put`` (8 B/doc) and excluded pages are dropped before
+extraction. Large bases stream: prior ids enter the dedup key exchange as
+always-win sentinel rows (build.make_prior_keys_fn), so driver memory
+stays O(1) in the base size; re-crawled pages then pay extraction and are
+dropped by the ordinary loser rewrite. Compaction is one docstore scan
+plus the standard segments phase — no decode of existing generation
+segments.
 """
 
 from __future__ import annotations
@@ -45,13 +50,13 @@ from pathlib import Path
 import numpy as np
 
 import ray
-import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, IndexConfig
-from ..index.reader import (check_not_compacting, dead_ids_for_gen,
-                            generation_dirs, load_tombstones, read_global_stats)
+from ..index.docid import sorted_member
+from ..index.reader import (check_not_compacting, dead_ids_for_gen, load_tombstones,
+                            read_global_stats)
 from ..state.manifest import atomic_write_json, config_key, fingerprint_inputs, read_json
-from .build import build_index, _hot_from_partials, _segments_phase, PhaseManifest
+from .build import build_index, _derive_index
 
 
 def _docstore_files(dirs: list[Path]) -> list[str]:
@@ -172,27 +177,26 @@ def append_index(
     cfg: IndexConfig = DEFAULT_CONFIG,
     *,
     resume: bool = True,
-    exclusion: str = "auto",
 ) -> dict:
     """Index NEW pages as a delta generation of an existing index.
 
     Returns the delta build's metrics dict plus generation bookkeeping.
     Re-appending the same pages is a no-op for already-owned docs (they
-    are excluded by cross-generation first-wins dedup), and the
-    phase-manifest resume machinery applies within the generation build.
+    are excluded by cross-generation first-wins dedup; a delta that adds
+    nothing still registers an empty generation), and the phase-manifest
+    resume machinery applies within the generation build.
 
-    ``exclusion`` picks how prior ownership is enforced:
-    - "broadcast": collect prior ids (minus tombstones) into one sorted
-      array, ``ray.put`` once, filter at the extraction door. Cheapest
-      for small bases — excluded docs are never extracted.
-    - "exchange": stream prior ids into the dedup key exchange as
-      always-win sentinel rows (build.make_prior_keys_fn). O(1) driver
-      memory regardless of base size; re-crawled docs pay extraction
-      and are then dropped by the ordinary loser rewrite.
-    - "auto" (default): exchange when the prior corpus exceeds
-      EXCHANGE_EXCLUSION_THRESHOLD rows (estimated from parquet
-      metadata), else broadcast. Both modes produce identical indexes
-      (tested)."""
+    Prior ownership is enforced one of two ways, reported as
+    ``exclusion_mode``; both produce identical indexes (tested):
+    - "broadcast" (prior corpus up to EXCHANGE_EXCLUSION_THRESHOLD rows,
+      estimated from parquet metadata): collect prior ids (minus
+      tombstones) into one sorted array, ``ray.put`` once, filter at the
+      extraction door. Cheapest for small bases — excluded docs are never
+      extracted.
+    - "exchange" (larger priors): stream prior ids into the dedup key
+      exchange as always-win sentinel rows (build.make_prior_keys_fn).
+      O(1) driver memory regardless of base size; re-crawled docs pay
+      extraction and are then dropped by the ordinary loser rewrite."""
     root = Path(index_dir)
     _check_scoring_config(root, cfg)
     gens = read_json(root / "generations.json") or {"generations": []}
@@ -201,9 +205,8 @@ def append_index(
     # deleted doc is re-addable (the tombstone's upto_gen predates the new
     # generation, which therefore serves the fresh copy)
     dead = _dead_arrays(root, len(gens["generations"]))
-    if exclusion == "auto":
-        exclusion = ("exchange" if _prior_rows_estimate(prior) >
-                     EXCHANGE_EXCLUSION_THRESHOLD else "broadcast")
+    exclusion = ("exchange" if _prior_rows_estimate(prior) >
+                 EXCHANGE_EXCLUSION_THRESHOLD else "broadcast")
     gen_name = f"gen-{len(gens['generations']) + 1:04d}"
     t0 = time.perf_counter()
     n_excluded = 0
@@ -211,10 +214,8 @@ def append_index(
         parts = []
         for g, d in enumerate(prior):
             ids_g = collect_doc_ids([d])
-            if dead is not None and dead[g] is not None and ids_g.size:
-                pos = np.searchsorted(dead[g], ids_g)
-                pos_c = np.minimum(pos, dead[g].size - 1)
-                ids_g = ids_g[dead[g][pos_c] != ids_g]
+            if dead is not None and dead[g] is not None:
+                ids_g = ids_g[~sorted_member(ids_g, dead[g])]
             parts.append(ids_g)
         ids = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
         # the exclusion context is part of the delta's checkpoint key: a
@@ -223,7 +224,7 @@ def append_index(
         n_excluded = int(ids.size)
         metrics = build_index(pages_dir, root / gen_name, cfg, resume=resume,
                               exclude_ids_ref=ray.put(ids), key_salt=salt)
-    elif exclusion == "exchange":
+    else:
         sides = []
         h = hashlib.blake2b(digest_size=8)
         for g, d in enumerate(prior):
@@ -241,8 +242,6 @@ def append_index(
                               key_salt="ex:" + h.hexdigest())
         n_excluded = int((read_json(root / gen_name / "_manifests" /
                                     "phase-docstore.json") or {}).get("n_prior_keys", 0))
-    else:
-        raise ValueError(f"unknown exclusion mode {exclusion!r}")
     if gen_name not in gens["generations"]:
         gens["generations"].append(gen_name)
         atomic_write_json(root / "generations.json", gens)
@@ -266,13 +265,8 @@ def _drop_dead_rows(path: str, dead: np.ndarray) -> int:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    t = pq.read_table(path, columns=["doc_id"])
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    if ids.size == 0 or dead.size == 0:
-        return 0
-    pos = np.searchsorted(dead, ids)
-    pos_c = np.minimum(pos, dead.size - 1)
-    hit = dead[pos_c] == ids
+    ids = pq.read_table(path, columns=["doc_id"])["doc_id"].to_numpy(zero_copy_only=False)
+    hit = sorted_member(ids, dead)
     n_hit = int(hit.sum())
     if n_hit == 0:
         return 0
@@ -294,22 +288,17 @@ def compact_index(
     *,
     resume: bool = True,
 ) -> dict:
-    """Fold every generation into the base: consolidate docstores, restore
-    global stats.json, recompute hot terms over the union, re-run the
-    shared segments phase, and drop the generation dirs. After compaction
-    the index is a plain single-generation layout again."""
+    """Fold every generation into the base: consolidate docstores, drop
+    the generation dirs, then re-derive global stats, hot terms and
+    segments over the union with the build's shared runner. After
+    compaction the index is a plain single-generation layout again."""
     import shutil
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ..text.tokenize import doc_term_counts
 
     root = Path(index_dir)
     _check_scoring_config(root, cfg)
     gens = read_json(root / "generations.json") or {"generations": []}
     metrics: dict = {"phases": {}, "n_generations_folded": len(gens["generations"])}
-    t_all = time.perf_counter()
+    t0 = time.perf_counter()
 
     # compaction-in-progress marker (ADVICE r2): between deleting the
     # generation dirs and sealing the new segments, the on-disk index is a
@@ -344,76 +333,29 @@ def compact_index(
     metrics["tombstoned_dropped"] = n_dropped
 
     # ---- fold generation docstores into the base docstore (rename only;
-    # gen- prefix keeps names collision-free and lineage-readable)
+    # gen- prefix keeps names collision-free and lineage-readable), then
+    # drop the generations. Everything derived (stats, hot terms,
+    # segments) is recomputed below from the docstore files actually on
+    # disk, never from the generation manifests: a crash anywhere inside
+    # compaction leaves a state a re-run converges from, because the
+    # (idempotent) moves made the docstore complete before anything was
+    # deleted.
     docs_dir = root / "docs"
     for g in gens["generations"]:
         gdocs = root / g / "docs"
         if gdocs.exists():
             for f in sorted(gdocs.glob("*.parquet")):
                 f.rename(docs_dir / f"{g}-{f.name}")
-    doc_files = sorted(str(p) for p in docs_dir.glob("*.parquet"))
-    key = f"{fingerprint_inputs(doc_files)}-{config_key(cfg)}-compact"
-
-    # ---- global stats from a SCAN of the consolidated docstore (ground
-    # truth, never the generation manifests): a crash anywhere inside
-    # compaction leaves a state a re-run converges from, because every
-    # derived artifact (stats, hot terms, segments) is recomputed from the
-    # docstore files actually on disk — the one thing the (idempotent)
-    # moves above made complete before anything was deleted.
-    t0 = time.perf_counter()
-    dls = rd.read_parquet(doc_files, columns=["dl"]) if doc_files else None
-    N = int(dls.count()) if dls is not None else 0
-    total_dl = int(dls.sum("dl") or 0) if (dls is not None and N) else 0
-    stats = {"N": N, "total_dl": total_dl,
-             "avgdl": (total_dl / N) if N else 0.0, "k1": cfg.k1, "b": cfg.b,
-             "block_size": cfg.block_size,
-             "store_positions": bool(cfg.store_positions)}
     for g in gens["generations"]:
         shutil.rmtree(root / g, ignore_errors=True)
-    if (root / "generations.json").exists():
-        (root / "generations.json").unlink()
-    atomic_write_json(root / "stats.json", stats)
-    PhaseManifest(root, "stats", key).seal(**stats)
-    metrics["phases"]["stats"] = round(time.perf_counter() - t0, 3)
+    (root / "generations.json").unlink(missing_ok=True)
+    doc_files = sorted(str(p) for p in docs_dir.glob("*.parquet"))
+    key = f"{fingerprint_inputs(doc_files)}-{config_key(cfg)}-compact"
+    metrics["phases"]["docstore"] = round(time.perf_counter() - t0, 3)
 
-    # ---- hot terms over the union (deterministic doc_id hash-sample; the
-    # same rule as a from-scratch build, so for dedup-free corpora the hot
-    # set — and therefore the segment bytes — match a full rebuild)
-    t0 = time.perf_counter()
-    N = max(1, stats["N"])
-    frac = min(1.0, cfg.hot_sample_target / N)
-    cut = min(int((1 << 63) * frac), (1 << 63) - 1)
-    sample = rd.read_parquet(doc_files, columns=["doc_id", "text"],
-                             filter=pc.field("doc_id") < cut)
-
-    def _sample_df(batch: pa.Table) -> pa.Table:
-        vocab, _, codes, _ = doc_term_counts(batch["text"])
-        df = np.bincount(codes, minlength=len(vocab)).astype(np.int64) if codes.size else np.empty(0, np.int64)
-        tbl = pa.table({"term": vocab, "df": pa.array(df, pa.int64())})
-        meta = pa.table({"term": pa.array(["\x00__doc__"]),
-                         "df": pa.array([batch.num_rows], pa.int64())})
-        return pa.concat_tables([tbl, meta])
-
-    hot, sampled_docs = _hot_from_partials(
-        sample.map_batches(_sample_df, batch_format="pyarrow", batch_size=1024),
-        cfg.hot_df_ratio)
-    atomic_write_json(root / "hot_terms.json",
-                      {"hot_terms": hot, "sampled_docs": sampled_docs})
-    PhaseManifest(root, "hotterms", key).seal(n_hot=len(hot), sampled_docs=sampled_docs)
-    metrics["phases"]["hotterms"] = round(time.perf_counter() - t0, 3)
-
-    # ---- shared segments phase over the consolidated docstore
-    t0 = time.perf_counter()
-    _segments_phase(root, doc_files, stats, hot, cfg, key, resume)
-    metrics["phases"]["segments"] = round(time.perf_counter() - t0, 3)
-
-    seg_manifest = read_json(root / "segments_manifest.json")
-    metrics.update(
-        N=stats["N"], avgdl=stats["avgdl"], n_hot_terms=len(hot),
-        n_postings=sum(r["n_postings"] for r in seg_manifest["buckets"]),
-        bytes_segments=sum(r["bytes_out"] for r in seg_manifest["buckets"]),
-    )
-    metrics["wall_sec"] = round(time.perf_counter() - t_all, 3)
-    atomic_write_json(root / "metrics.json", metrics)
+    # the same hash-sample rule as a from-scratch build, so for dedup-free
+    # corpora the hot set — and therefore the segment bytes — match a full
+    # rebuild
+    metrics = _derive_index(root, doc_files, cfg, key, resume, metrics)
     marker.unlink(missing_ok=True)  # index is consistent again
     return metrics

@@ -1432,7 +1432,7 @@ toks2 AS (SELECT doc_id, term FROM toks WHERE term <> ''),
 dl AS (SELECT doc_id, count(*) AS dl FROM toks2 GROUP BY doc_id),
 matched AS (SELECT DISTINCT doc_id FROM toks2 WHERE term IN ('hash','merge','scan'))
 SELECT count(*) AS n_docs, min(dl.dl) AS "min", max(dl.dl) AS "max",
-       sum(dl.dl) AS "sum", round(avg(dl.dl), 6) AS mean
+       CAST(sum(dl.dl) AS BIGINT) AS "sum", round(avg(dl.dl), 6) AS mean
 FROM matched JOIN dl USING (doc_id)
 """
 

@@ -128,13 +128,15 @@ def test_append_dedups_across_generations(corpora, tmp_path):
         IndexReader(ref, warm_top_terms=0).term_stats()
 
 
-def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_path):
-    """exclusion="exchange" (prior ids co-partitioned through the dedup key
-    exchange as always-win sentinel rows — the O(1)-driver-memory scale
-    path) must produce an index identical to exclusion="broadcast",
-    including when the delta re-crawls docs the base already owns."""
+def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_path,
+                                                    monkeypatch):
+    """The exchange exclusion path (prior ids co-partitioned through the
+    dedup key exchange as always-win sentinel rows — the O(1)-driver-memory
+    scale path, forced here by lowering EXCHANGE_EXCLUSION_THRESHOLD) must
+    produce an index identical to the broadcast path, including when the
+    delta re-crawls docs the base already owns."""
     from gxdindexer_ray.index.reader import IndexReader, read_global_stats
-    from gxdindexer_ray.pipelines import append_index, build_index
+    from gxdindexer_ray.pipelines import append_index, build_index, incremental
 
     a, b, full, _ = corpora
     ta = pa.concat_tables([pq.read_table(f) for f in sorted(Path(a).glob("*.parquet"))])
@@ -153,8 +155,10 @@ def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_p
     idx_b, idx_x = tmp_path / "idx_bc", tmp_path / "idx_ex"
     build_index(a, idx_b, CFG)
     build_index(a, idx_x, CFG)
-    m_b = append_index(bprime, idx_b, CFG, exclusion="broadcast")
-    m_x = append_index(bprime, idx_x, CFG, exclusion="exchange")
+    m_b = append_index(bprime, idx_b, CFG)
+    monkeypatch.setattr(incremental, "EXCHANGE_EXCLUSION_THRESHOLD", -1)
+    m_x = append_index(bprime, idx_x, CFG)
+    assert m_b["exclusion_mode"] == "broadcast"
     assert m_x["exclusion_mode"] == "exchange"
     assert m_b["excluded_prior_docs"] == m_x["excluded_prior_docs"] > 0
 
@@ -169,11 +173,11 @@ def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_p
     assert all(x.read_bytes() == y.read_bytes() for x, y in zip(sb, sx))
 
 
-def test_append_exchange_respects_tombstones(ray_session, tmp_path):
-    """A tombstoned doc must be re-addable under exclusion="exchange": the
-    dead-id filter runs inside the prior-keys map, so the sentinel row for
-    a deleted doc never enters the exchange."""
-    from gxdindexer_ray.pipelines import SearchEngine, append_index, build_index
+def test_append_exchange_respects_tombstones(ray_session, tmp_path, monkeypatch):
+    """A tombstoned doc must be re-addable on the exchange exclusion path:
+    the dead-id filter runs inside the prior-keys map, so the sentinel row
+    for a deleted doc never enters the exchange."""
+    from gxdindexer_ray.pipelines import SearchEngine, append_index, build_index, incremental
     from gxdindexer_ray.pipelines.incremental import delete_docs
 
     docs = [(f"https://t.example/{i}", f"tango{i % 5} uniform") for i in range(40)]
@@ -189,7 +193,8 @@ def test_append_exchange_respects_tombstones(ray_session, tmp_path):
     _mini_corpus(redo, [(u, body + " redo") for u, body in docs
                         if body.startswith("tango1")],
                  ts0=1_700_000_000_000_000)
-    m = append_index(redo, idx, CFG, exclusion="exchange")
+    monkeypatch.setattr(incremental, "EXCHANGE_EXCLUSION_THRESHOLD", -1)
+    m = append_index(redo, idx, CFG)
     assert m["exclusion_mode"] == "exchange"
     # ONLY the tombstoned doc is re-addable: the other tango1 re-crawls are
     # still owned by the live base copies and lose (first-wins). "redo"
@@ -537,3 +542,47 @@ def test_serving_features_across_generations(ray_session, tmp_path):
         == [d for d, _ in got_f]
     assert [(v, d) for v, d, _t, _s in engc.collapse_topk("papaya", 5, "dl")] \
         == [(v, d) for v, d, _t, _s in got_c]
+
+
+@pytest.mark.parametrize("case", ["reappend_broadcast", "reappend_exchange",
+                                  "filtered_no_match", "compact_all_deleted"])
+def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
+    """Every lifecycle entry point must handle a step that leaves nothing
+    to index: a re-append of pages the index already owns (both exclusion
+    paths), a filtered build whose predicate matches no doc, and a
+    compaction after every doc was tombstoned. The result opens in a
+    SearchEngine and answers like the oracle."""
+    import pyarrow.compute as pc
+
+    from gxdindexer_ray.index.docid import doc_id_of
+    from gxdindexer_ray.oracle import OracleIndex
+    from gxdindexer_ray.pipelines import (SearchEngine, append_index, build_index,
+                                          compact_index, delete_docs, incremental)
+    from gxdindexer_ray.pipelines.build import build_filtered_index
+
+    docs = [(f"https://z.example/{i}", f"yankee{i % 3} xray") for i in range(30)]
+    base = tmp_path / "base"
+    _mini_corpus(base, docs)
+    idx = tmp_path / "idx"
+    build_index(base, idx, CFG)
+    out, oracle = idx, OracleIndex.build_from_rows([])
+    if case.startswith("reappend"):
+        mode = case.split("_")[1]
+        if mode == "exchange":
+            monkeypatch.setattr(incremental, "EXCHANGE_EXCLUSION_THRESHOLD", -1)
+        m = append_index(base, idx, CFG)
+        assert m["exclusion_mode"] == mode
+        assert m["excluded_prior_docs"] == len(docs)
+        oracle = OracleIndex.build_from_pages(base)
+    elif case == "filtered_no_match":
+        out = tmp_path / "flt"
+        build_filtered_index(idx, out, pc.field("dl") > 1000, CFG, predicate_tag="dl>1000")
+    else:
+        delete_docs(idx, [doc_id_of(u) for u, _ in docs])
+        compact_index(idx, CFG)
+        assert not (idx / "compacting.json").exists()
+    eng = SearchEngine(out, warm_top_terms=0)
+    assert eng.reader.N == oracle.N == (len(docs) if case.startswith("reappend") else 0)
+    for q in ("yankee1", "xray", "yankee2 xray"):
+        for method in ("brute", "bmw"):
+            assert eng.topk(q, 10, method) == oracle.topk(q, 10), (q, method)
