@@ -529,6 +529,26 @@ class TestNearDupClusterResolution:
         s1 = pd.DataFrame({"k": ["x\x00y", "zz"]})
         s2 = pd.DataFrame({"k": ["zz"]})
         assert stable_bucket_ids(s1, ["k"], 32)[1] == stable_bucket_ids(s2, ["k"], 32)[0]
+        # pinned literal bucket ids at n=64: every exchange, sink file and
+        # co-partitioned iteration depends on these exact values
+        ints = pd.DataFrame({"k": [0, 1, 7, 45, 2 ** 53 + 1, -3]})
+        assert stable_bucket_ids(ints, ["k"], 64).tolist() == [0, 61, 7, 26, 61, 6]
+        two = pd.DataFrame({"a": [45, 7, 0], "b": [413, 9, -1]})
+        assert stable_bucket_ids(two, ["a", "b"], 64).tolist() == [35, 40, 36]
+        strs = pd.DataFrame({"k": ["x", "zz", "", "x\x00y", "héllo"]})
+        assert stable_bucket_ids(strs, ["k"], 64).tolist() == [15, 9, 52, 30, 11]
+        mixed = pd.DataFrame({"a": [45, 7], "s": ["x", "zz"]})
+        assert stable_bucket_ids(mixed, ["a", "s"], 64).tolist() == [24, 34]
+        # pinned blake2b token hashes (64-bit, and the two 128-bit halves)
+        from gxdindexer_ray.ops.dedup import _token_hash_pairs_flat, _token_hashes_flat
+        th = _token_hashes_flat(pa.array(["the", "ray", "the", ""]))
+        assert th.tolist() == [0x5EDAAB6C90973A2E, 0x02B8CEC666A8AC26,
+                               0x5EDAAB6C90973A2E, 0xE4A6A0577479B2B4]
+        h1, h2 = _token_hash_pairs_flat(pa.array(["the", "ray", ""]))
+        assert h1.tolist() == [0x35D8713B95E970DE, 0x3E5D0411C5A2B8E4,
+                               0xCAE66941D9EFBD40]
+        assert h2.tolist() == [0x6322CDE266F89293, 0x16D0F0D4DB316F96,
+                               0x4E4D88758EA67670]
 
 
 def test_simhash_near_dup_hamming_buckets(ray_session):
