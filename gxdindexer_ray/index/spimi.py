@@ -86,6 +86,15 @@ def make_spimi_fn(hot_terms_ref, cfg: IndexConfig):
     return spimi_partials
 
 
+# one row per partial file spimi_write wrote
+_WRITE_MANIFEST = pa.schema([
+    ("bucket", pa.int32()), ("path", pa.string()), ("rows", pa.int64()),
+    ("bytes", pa.int64()),
+    # per-file posting totals: the merge decides its slot split from
+    # these manifest sums without re-reading any column
+    ("postings", pa.int64())])
+
+
 def make_spimi_writer_fn(hot_terms_ref, cfg: IndexConfig, partials_dir: str):
     """File-exchange variant: each task writes its batch's partials split by
     bucket to ``partials_dir/bucket=NNN/part-*.parquet`` and returns one
@@ -112,6 +121,8 @@ def make_spimi_writer_fn(hot_terms_ref, cfg: IndexConfig, partials_dir: str):
             b = SpimiPartialBuilder(hot_terms_ref=hot_terms_ref, cfg=cfg)
             _local["b"] = b
         tbl = b(batch)
+        if tbl.num_rows == 0:  # no doc of the batch has a token
+            return _WRITE_MANIFEST.empty_table()
         buckets = tbl["bucket"].to_numpy(zero_copy_only=False)
         rslots = tbl["rslot"].to_numpy(zero_copy_only=False)
         # rslot-sorted within each bucket file: oversized-bucket merges can
@@ -142,15 +153,8 @@ def make_spimi_writer_fn(hot_terms_ref, cfg: IndexConfig, partials_dir: str):
             out_rows.append(e - s)
             out_bytes.append(f.stat().st_size)
             out_post.append(int(npost[s:e].sum()))
-        return pa.table({
-            "bucket": pa.array(out_b, pa.int32()),
-            "path": pa.array(out_path, pa.string()),
-            "rows": pa.array(out_rows, pa.int64()),
-            "bytes": pa.array(out_bytes, pa.int64()),
-            # per-file posting totals: the merge decides its slot split
-            # from these manifest sums without re-reading any column
-            "postings": pa.array(out_post, pa.int64()),
-        })
+        return pa.table([out_b, out_path, out_rows, out_bytes, out_post],
+                        schema=_WRITE_MANIFEST)
 
     return spimi_write
 

@@ -32,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..text.tokenize import doc_term_counts
-from .relational import keyed_exchange_apply
+from .relational import exchange
 
 
 def word_frequencies(ds, *, text_col: str = "text", n_buckets: int = 32):
@@ -62,11 +62,8 @@ def word_frequencies(ds, *, text_col: str = "text", n_buckets: int = 32):
             "word": dic.dictionary,
             "freq": pa.array(agg.astype(np.int64), pa.int64())})
 
-    return keyed_exchange_apply(ds.map_batches(partial,
-                                               batch_format="pyarrow"),
-                                ["word"], reduce, n_buckets,
-                                batch_format="pyarrow",
-                                local_arrow=lambda t: t)
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), reduce,
+                    keys=["word"], n_buckets=n_buckets, batch_format="pyarrow")
 
 
 def _pair_counts(batch: pa.Table) -> pa.Table:

@@ -74,7 +74,7 @@ def smart_alpha_rank_in_group(ds, group_col: str, value_col: str,
     is fused into the exchange's partition tasks."""
     import pandas as pd
 
-    from .relational import keyed_exchange_apply
+    from .relational import exchange
 
     def rank(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -88,6 +88,5 @@ def smart_alpha_rank_in_group(ds, group_col: str, value_col: str,
         out[rank_col] = out.groupby(group_col, sort=False).cumcount() + 1
         return out[[group_col, rank_col, value_col]]
 
-    return keyed_exchange_apply(ds.map_batches(
-        lambda t: t.select([group_col, value_col]), batch_format="pyarrow"),
-        [group_col], rank, n_buckets)
+    return exchange(ds, rank, keys=[group_col], n_buckets=n_buckets,
+                    pre=lambda t: t.select([group_col, value_col]))

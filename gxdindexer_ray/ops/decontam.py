@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..text.tokenize import tokenize_column
-from .relational import keyed_exchange_apply
+from .relational import exchange
 
 
 def ngram_pairs(batch: pa.Table, *, id_col: str, text_col: str,
@@ -120,12 +120,8 @@ def ngram_contamination(cand, bench=None, *, id_col: str = "doc_id",
         out = hits.group_by([id_col]).aggregate([("g", "count")])
         return out.rename_columns([id_col, out_col])
 
-    # local_arrow identity routes the string-key bucket hash through the
-    # Arrow-preserving path: a plain to_pandas would turn the benchmark
-    # side's all-null doc_id into float64 and flip the block schema
-    partials = keyed_exchange_apply(sides, ["g"], bucket_fn, n_buckets,
-                                    batch_format="pyarrow",
-                                    local_arrow=lambda t: t)
+    partials = exchange(sides, bucket_fn, keys=["g"], n_buckets=n_buckets,
+                        batch_format="pyarrow")
     # each n-gram lives in exactly one bucket and was de-duplicated there,
     # so per-bucket counts are disjoint: the cross-bucket sum is exact
     return partials.groupby(id_col).aggregate(

@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 
 from ray.data.aggregate import AggregateFn  # noqa: F401  (documented alternative)
 
+from ..index.docid import blake2b_rows
 from ..text.tokenize import tokenize_column
 
 _MERSENNE = (1 << 61) - 1
@@ -40,42 +41,32 @@ def _hash64_strings(strings: list[str]) -> np.ndarray:
     return out
 
 
-def _token_hashes_flat(flat: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """blake2b-64 per token with the Python hashing loop run only over
-    UNIQUE tokens (dictionary-encode): identical values to
-    ``_hash64_strings(tokens)`` at vocabulary-sized cost."""
+def _token_digests(flat: pa.Array | pa.ChunkedArray,
+                   digest_size: int) -> np.ndarray:
+    """Per-token blake2b digests as big-endian uint64 words, (n,
+    digest_size // 8), hashing each UNIQUE token once (dictionary-encode)
+    through the buffer-level ``blake2b_rows`` loop."""
     if isinstance(flat, pa.ChunkedArray):
         flat = flat.combine_chunks()
-    if len(flat) == 0:
-        return np.empty(0, dtype=np.uint64)
     dic = pc.dictionary_encode(flat)
-    uh = _hash64_strings(dic.dictionary.to_pylist())
     idx = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    return uh[idx]
+    return blake2b_rows(dic.dictionary, digest_size)[idx]
+
+
+def _token_hashes_flat(flat: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """blake2b-64 per token: identical values to
+    ``_hash64_strings(tokens)`` at vocabulary-sized cost."""
+    return np.ascontiguousarray(_token_digests(flat, 8)[:, 0])
 
 
 def _token_hash_pairs_flat(
         flat: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     """TWO independent blake2b-64 streams per token (one 128-bit digest
-    split in half), hashing each UNIQUE token once (dictionary-encode).
-    The pair gives genuinely independent collision behavior — deriving
-    the second stream from the first would reduce the combined key to
-    the first stream's 64 bits."""
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
-    if len(flat) == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.uint64)
-    dic = pc.dictionary_encode(flat)
-    strings = dic.dictionary.to_pylist()
-    h1 = np.empty(len(strings), np.uint64)
-    h2 = np.empty(len(strings), np.uint64)
-    from hashlib import blake2b as b2b
-    for i, t in enumerate(strings):
-        d = b2b(t.encode(), digest_size=16).digest()
-        h1[i] = int.from_bytes(d[:8], "big")
-        h2[i] = int.from_bytes(d[8:], "big")
-    idx = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    return h1[idx], h2[idx]
+    split in half). The pair gives genuinely independent collision
+    behavior — deriving the second stream from the first would reduce the
+    combined key to the first stream's 64 bits."""
+    d = _token_digests(flat, 16)
+    return np.ascontiguousarray(d[:, 0]), np.ascontiguousarray(d[:, 1])
 
 
 _MASK64 = (1 << 64) - 1
@@ -338,7 +329,7 @@ def _band_group_bounds(group: pd.DataFrame, with_side: bool):
     """Shared preamble of the two pair generators: lexsort by
     (band, bhash[, side], doc), drop consecutive duplicate rows, return
     the sorted arrays plus (band, bhash)-group start offsets and sizes.
-    Returns None on EMPTY input — _exchange_sides probes fn with a typed
+    Returns None on EMPTY input — exchange() probes fn with a typed
     empty frame (_apply_empty), and a boolean mask built via np.r_[True,
     ...] would be length 1 against length-0 arrays."""
     band = group["band"].to_numpy()
@@ -439,9 +430,9 @@ def band_bucket_pairs(sig_ds, n_buckets: int = 64, max_group: int = 512):
         return pd.DataFrame({"a": np.concatenate(parts_a),
                              "b": np.concatenate(parts_b)})
 
-    from .relational import dedup_first, mod_exchange_apply
+    from .relational import dedup_first, exchange
 
-    cand = mod_exchange_apply(sig_ds, "bhash", pairs, n_buckets)
+    cand = exchange(sig_ds, pairs, mod="bhash", n_buckets=n_buckets)
     return dedup_first(cand, ["a", "b"], ["a", "b"])
 
 
@@ -578,7 +569,7 @@ def _cc_propose(edges_tbl: pa.Table, labels_tbl: pa.Table, n_buckets: int):
     edges share the hash(u) bucketing), emit pre-minned (node=v, comp)
     proposals partitioned by hash(v) % n_buckets. Returns
     (bucket keys, {bucket: table ref}) like _partition_chunk."""
-    from .relational import _splitmix64
+    from .relational import bucket_ids
 
     u = edges_tbl["u"].to_numpy(zero_copy_only=False)
     v = edges_tbl["v"].to_numpy(zero_copy_only=False)
@@ -599,8 +590,8 @@ def _cc_propose(edges_tbl: pa.Table, labels_tbl: pa.Table, n_buckets: int):
         return [], {}
     import ray as _ray
 
-    buckets = (_splitmix64(pv.astype(np.int64).view(np.uint64))
-               % np.uint64(n_buckets)).astype(np.int32)
+    buckets = bucket_ids(pa.table({"node": pv.astype(np.int64)}), ["node"],
+                         n_buckets)
     border = np.argsort(buckets, kind="stable")
     pv, pl, buckets = pv[border], pl[border], buckets[border]
     bounds = np.concatenate([[0], np.flatnonzero(buckets[1:] != buckets[:-1]) + 1,
@@ -653,7 +644,7 @@ def connected_components_ds(edges, *, n_buckets: int = 64, max_iters: int = 50):
     import ray
     import ray.data as rd
 
-    from .relational import _splitmix64
+    from .relational import exchange
 
     global _CC_INIT, _CC_PROPOSE, _CC_MERGE
     if _CC_INIT is None:
@@ -664,16 +655,12 @@ def connected_components_ds(edges, *, n_buckets: int = 64, max_iters: int = 50):
     def undirected(tbl: pa.Table) -> pa.Table:
         a = tbl["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = tbl["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        bk = (_splitmix64(u.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
-        return pa.table({"u": pa.array(u, pa.int64()),
-                         "v": pa.array(v, pa.int64()),
-                         "__b": pa.array(bk)})
+        return pa.table({"u": pa.array(np.concatenate([a, b]), pa.int64()),
+                         "v": pa.array(np.concatenate([b, a]), pa.int64())})
 
-    from .relational import pinned_bucket_tables
-
-    ebuckets = pinned_bucket_tables(edges, "__b", pre=undirected)
+    # pinned form (no fn): edges and labels share bucket bucket_ids(u), the
+    # same bucketing _cc_propose routes proposals by
+    ebuckets = exchange(edges, keys=["u"], n_buckets=n_buckets, pre=undirected)
     if not ebuckets:
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
                                        "comp": pa.array([], pa.int64())}))
@@ -761,7 +748,7 @@ def simhash_64(tokens: list[str]) -> int:
     if not tokens:
         return 0
     uniq, counts = np.unique(np.array(tokens, dtype=object), return_counts=True)
-    h = _hash64_strings([str(u) for u in uniq])
+    h = blake2b_rows(pa.array([str(u) for u in uniq], pa.string()), 8)[:, 0]
     bits = ((h[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
     v = ((bits * 2 - 1) * counts[:, None]).sum(axis=0)
     out = 0
@@ -783,7 +770,7 @@ def simhash(ds, *, id_col: str = "doc_id", text_col: str = "text"):
         if len(flat):
             dic = pc.dictionary_encode(flat.combine_chunks()
                                        if isinstance(flat, pa.ChunkedArray) else flat)
-            uh = _hash64_strings(dic.dictionary.to_pylist())
+            uh = blake2b_rows(dic.dictionary, 8)[:, 0]
             codes = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
             # tf per (doc, token): sort by composite key, count runs
             key = doc_idx * len(uh) + codes
@@ -875,10 +862,10 @@ def simhash_near_dup(ds, *, max_hamming: int = 3, bands: int = 4,
                 "max_group=%d to star+chain pair emission", capped, max_group)
         return pd.DataFrame({"a": out_a, "b": out_b, "hamming": out_h}).astype(np.int64)
 
-    from .relational import mod_exchange_apply
+    from .relational import exchange
     from ray.data.aggregate import Min
 
-    cand = mod_exchange_apply(rows, "chunk", pairs, 64)
+    cand = exchange(rows, pairs, mod="chunk", n_buckets=64)
     out = cand.groupby(["a", "b"]).aggregate(Min("hamming", alias_name="hamming")).to_pandas()
     if out.empty:
         return pd.DataFrame(columns=["a", "b", "hamming"]).astype(np.int64)
@@ -935,9 +922,9 @@ def band_bucket_cross_pairs(sig_ds, n_buckets: int = 64,
                 "max_group=%d to representative pairing", capped, max_group)
         return pd.DataFrame({"a": doc[a_pos], "b": doc[b_pos]})
 
-    from .relational import dedup_first, mod_exchange_apply
+    from .relational import dedup_first, exchange
 
-    cand = mod_exchange_apply(sig_ds, "bhash", pairs, n_buckets)
+    cand = exchange(sig_ds, pairs, mod="bhash", n_buckets=n_buckets)
     return dedup_first(cand, ["a", "b"], ["a", "b"])
 
 
@@ -1029,8 +1016,14 @@ def jaccard_join(ds, *, id_col: str = "doc_id", text_col: str = "text",
     each doc's (already hash-sorted) shingle slice — effectively a random
     order: adversarial boilerplate can't concentrate one shingle into
     every prefix the way natural-language frequency order could.
-    ``ds`` is consumed twice (prefix pass + verification)."""
-    from .relational import _triangle_positions, dedup_first, mod_exchange_apply
+    ``ds`` is consumed twice (prefix pass + verification).
+
+    Docs with ZERO shingles (empty or whitespace-only text) emit no prefix
+    rows, so they pair with nothing — not even each other, although
+    ``exact_jaccard`` defines J(empty, empty) = 1.0. This matches the q26
+    shared-shingle SQL oracle, which can only pair docs that share a
+    shingle."""
+    from .relational import _triangle_positions, dedup_first, exchange
 
     def prefixes(batch: pa.Table) -> pa.Table:
         empty = pa.table({"bhash": pa.array([], pa.int64()),
@@ -1085,7 +1078,7 @@ def jaccard_join(ds, *, id_col: str = "doc_id", text_col: str = "text",
                             "b": np.maximum(a, b)[ok]})
         return out.drop_duplicates()
 
-    cand = dedup_first(mod_exchange_apply(pref, "bhash", pairs, n_buckets),
+    cand = dedup_first(exchange(pref, pairs, mod="bhash", n_buckets=n_buckets),
                        ["a", "b"], ["a", "b"])
     return verify_pairs_jaccard(ds, cand, id_col=id_col, text_col=text_col,
                                 k=k, threshold=threshold)

@@ -58,11 +58,11 @@ def transitive_closure_distributed(edges_ds, *, src: str = "src", dst: str = "ds
     closure, frontier, joins, distinct AND the seen-set anti-join all
     distributed. Per round: frontier ⋈ edges (one key-hash shuffle) ->
     distinct (aggregate combiner tree) -> anti-join against the closure
-    (bucketed by pair hash through hash_exchange_apply) -> union. The
+    (bucketed by pair hash through one keyed exchange) -> union. The
     driver only sees per-round COUNTS. Returns a Dataset."""
     from ray.data.aggregate import Count
 
-    from .relational import add_hash_bucket, hash_exchange_apply
+    from .relational import exchange
 
     def distinct(ds):
         agg = ds.groupby([src, dst]).aggregate(Count(alias_name="__n"))
@@ -97,8 +97,8 @@ def transitive_closure_distributed(edges_ds, *, src: str = "src", dst: str = "ds
                                 zip(new[src], new[dst])), bool, len(new))
             return new.loc[keep, [src, dst]]
 
-        fresh = hash_exchange_apply(add_hash_bucket(tagged, [src, dst], n_buckets),
-                                    "__bucket", anti).materialize()
+        fresh = exchange(tagged, anti, keys=[src, dst],
+                         n_buckets=n_buckets).materialize()
         if fresh.count() == 0:
             return closure
         closure = distinct(closure.union(fresh)).materialize()
@@ -136,7 +136,7 @@ def _pr_contrib(edges_tbl, state_tbl, n_buckets):
 
     import ray as _ray
 
-    from .relational import _splitmix64
+    from .relational import bucket_ids
 
     nodes = state_tbl["node"].to_numpy(zero_copy_only=False)
     outdeg = state_tbl["outdeg"].to_numpy(zero_copy_only=False)
@@ -153,8 +153,8 @@ def _pr_contrib(edges_tbl, state_tbl, n_buckets):
     starts = np.flatnonzero(np.r_[True, vs[1:] != vs[:-1]])
     pv = vs[starts]
     pw = np.add.reduceat(ws, starts)  # combiner: one row per dst
-    buckets = (_splitmix64(pv.astype(np.int64).view(np.uint64))
-               % np.uint64(n_buckets)).astype(np.int32)
+    buckets = bucket_ids(pa.table({"node": pv.astype(np.int64)}), ["node"],
+                         n_buckets)
     border = np.argsort(buckets, kind="stable")
     pv, pw, buckets = pv[border], pw[border], buckets[border]
     bounds = np.concatenate([[0], np.flatnonzero(buckets[1:] != buckets[:-1]) + 1,
@@ -228,7 +228,7 @@ def pagerank(edges_ds, *, src: str = "src", dst: str = "dst",
     import ray
     import ray.data as rd
 
-    from .relational import _splitmix64, pinned_bucket_tables
+    from .relational import exchange
 
     if not _PR_FNS:
         _PR_FNS["setup"] = ray.remote(_pr_setup)
@@ -240,20 +240,20 @@ def pagerank(edges_ds, *, src: str = "src", dst: str = "dst",
     def edge_pre(tbl: pa.Table) -> pa.Table:
         u = tbl[src].to_numpy(zero_copy_only=False).astype(np.int64)
         v = tbl[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = (_splitmix64(u.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
         return pa.table({"u": pa.array(u, pa.int64()),
-                         "v": pa.array(v, pa.int64()), "__b": pa.array(bk)})
+                         "v": pa.array(v, pa.int64())})
 
     def node_pre(tbl: pa.Table) -> pa.Table:
         u = tbl[src].to_numpy(zero_copy_only=False).astype(np.int64)
         v = tbl[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        nodes = np.concatenate([u, v])
-        bk = (_splitmix64(nodes.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
-        return pa.table({"node": pa.array(nodes, pa.int64()), "__b": pa.array(bk)})
+        return pa.table({"node": pa.array(np.concatenate([u, v]), pa.int64())})
 
+    # pinned form (no fn): a node's edges and state share bucket
+    # bucket_ids(node), the same bucketing _pr_contrib routes contributions by
     edges_ds = edges_ds.materialize()  # consumed twice (edge + node passes)
-    ebuckets = pinned_bucket_tables(edges_ds, "__b", pre=edge_pre)
-    nbuckets_t = pinned_bucket_tables(edges_ds, "__b", pre=node_pre)
+    ebuckets = exchange(edges_ds, keys=["u"], n_buckets=n_buckets, pre=edge_pre)
+    nbuckets_t = exchange(edges_ds, keys=["node"], n_buckets=n_buckets,
+                          pre=node_pre)
     if not nbuckets_t:
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
                                        "rank": pa.array([], pa.float64())}))
@@ -311,9 +311,8 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
     int per closure bucket. Returns a 1-row DataFrame {n_triangles}."""
     import pyarrow as pa
 
-    from .relational import (_exchange_sides, _splitmix64,
-                             _triangle_positions, dedup_first,
-                             keyed_exchange_apply, partitioned_join)
+    from .relational import (_triangle_positions, dedup_first, exchange,
+                             partitioned_join)
 
     def canon(t: pa.Table) -> pa.Table:
         a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -343,9 +342,8 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
     # unique partials + ONE explicit node-keyed exchange instead. deg is
     # consumed by BOTH degree-attach joins — materialize or the aggregate
     # runs twice.
-    deg = keyed_exchange_apply(
-        edges.map_batches(endpoints, batch_format="pyarrow"),
-        ["node"], sum_deg, n_buckets).materialize()
+    deg = exchange(edges.map_batches(endpoints, batch_format="pyarrow"),
+                   sum_deg, keys=["node"], n_buckets=n_buckets).materialize()
     deg_u = deg.map_batches(
         lambda t: t.rename_columns(["node_u", "deg_u"]),
         batch_format="pyarrow")
@@ -391,7 +389,7 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
         return (out.groupby(["a", "b"], sort=False)
                 .size().reset_index(name="cnt"))
 
-    wedges = keyed_exchange_apply(oriented, ["s"], mk_wedges, n_buckets)
+    wedges = exchange(oriented, mk_wedges, keys=["s"], n_buckets=n_buckets)
 
     def mk_pre(side: int):
         def pre(tbl: pa.Table) -> pa.Table:
@@ -400,11 +398,9 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
             b = tbl[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
             cnt = (np.zeros(a.size, np.int64) if side == 0
                    else tbl["cnt"].to_numpy(zero_copy_only=False).astype(np.int64))
-            h = _splitmix64(_splitmix64(a.view(np.uint64)) ^ b.view(np.uint64))
             return pa.table({
                 "a": pa.array(a), "b": pa.array(b), "cnt": pa.array(cnt),
-                "__side": pa.array(np.full(a.size, side, np.int8)),
-                "__bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int32))})
+                "__side": pa.array(np.full(a.size, side, np.int8))})
         return pre
 
     def close(df: pd.DataFrame) -> pd.DataFrame:
@@ -415,8 +411,9 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
         m = w.merge(e[["a", "b"]], on=["a", "b"], how="inner")
         return pd.DataFrame({"n": [int(m["cnt"].sum())]})
 
-    parts = _exchange_sides(
+    parts = exchange(
         [(oriented.to_arrow_refs(), mk_pre(0)),
-         (wedges.to_arrow_refs(), mk_pre(1))], "__bucket", close)
+         (wedges.to_arrow_refs(), mk_pre(1))], close, keys=["a", "b"],
+        n_buckets=n_buckets)
     total = int(parts.to_pandas()["n"].sum())
     return pd.DataFrame({"n_triangles": [total]})

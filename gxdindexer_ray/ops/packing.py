@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .relational import keyed_exchange_apply, pre_aggregate
+from .relational import exchange, pre_aggregate
 from .sketches import exact_quantiles
 from .textops import token_count
 
@@ -106,5 +106,5 @@ def pack_token_stream(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"seq_id": seq, id_col: ids[rep],
                              "seq_off": lo - seq * seq_len, "n_tok": hi - lo})
 
-    return keyed_exchange_apply(ranged, ["__range"], pack_range,
-                                min(n_buckets, max(1, len(cuts) + 1)))
+    return exchange(ranged, pack_range, keys=["__range"],
+                    n_buckets=min(n_buckets, max(1, len(cuts) + 1)))

@@ -9,8 +9,9 @@ Design rules applied throughout:
   ``map_batches`` (J1 — the reference's in-heap cache joins,
   GxdResultIndexer.java:91-272); no shuffle;
 - per-key exact ops with millions of tiny groups (dedup-first, window
-  funcs) go through explicit hash buckets: ``groupby(bucket)`` with a
-  vectorized pandas body per bucket, never one Python call per key;
+  funcs) go through ONE explicit exchange (``exchange``) keyed by
+  ``bucket_ids`` — a vectorized body per bucket, never one Python call
+  per key;
 - global top-k is per-batch partial top-k + tiny driver-side final merge,
   never a full sort.
 """
@@ -263,10 +264,9 @@ def partitioned_join(left, right, left_on: str, right_on: str, *,
             if pa.types.is_integer(batch.schema.field(key_col).type):
                 keys = batch[key_col].fill_null(0).to_numpy(zero_copy_only=False)
                 jb = (keys.astype(np.int64) % n_buckets).astype(np.int32)
-            else:  # string/object keys: explicit deterministic hash (see
-                # stable_bucket_ids — pandas' hasher proved unstable here)
+            else:  # string/object keys: the deterministic key hasher
                 keys = batch[key_col].to_numpy(zero_copy_only=False)
-                jb = stable_bucket_ids(pd.DataFrame({key_col: keys}), [key_col], n_buckets)
+                jb = bucket_ids(batch, [key_col], n_buckets)
             hot_mask = np.isin(keys, hot_arr) if hot_arr is not None else None
             if hot_mask is not None and batch[key_col].null_count:
                 # null keys are not hot (fill_null(0) must not make them
@@ -368,9 +368,8 @@ def partitioned_join(left, right, left_on: str, right_on: str, *,
     # into the partition tasks — no standalone unify/union passes.
     empty = pa.schema([pa.field(n, t) for n, t in all_fields]
                       + [pa.field("__jb", pa.int32()), pa.field("__side", pa.int8())]).empty_table()
-    return _exchange_sides([(l_refs, unify(0, left_on)), (r_refs, unify(1, right_on))],
-                           "__jb", join_bucket, batch_format="pyarrow",
-                           drop_bucket_col=False, empty_table=empty)
+    return exchange([(l_refs, unify(0, left_on)), (r_refs, unify(1, right_on))],
+                    join_bucket, by="__jb", batch_format="pyarrow", empty=empty)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +420,7 @@ def asof_join(left, right, *, on: str, by: str, direction: str = "backward",
                 keys = batch[by].fill_null(0).to_numpy(zero_copy_only=False)
                 jb = (keys.astype(np.int64) % n_buckets).astype(np.int32)
             else:
-                keys = batch[by].to_numpy(zero_copy_only=False)
-                jb = stable_bucket_ids(pd.DataFrame({by: keys}), [by], n_buckets)
+                jb = bucket_ids(batch, [by], n_buckets)
             if side == 1:
                 batch = batch.rename_columns([r_rename[n] for n in batch.column_names])
             n = batch.num_rows
@@ -505,9 +503,8 @@ def asof_join(left, right, *, on: str, by: str, direction: str = "backward",
 
     empty = pa.schema([pa.field(n, t) for n, t in out_fields]
                       + [pa.field("__jb", pa.int32()), pa.field("__side", pa.int8())]).empty_table()
-    return _exchange_sides([(l_refs, unify(0)), (r_refs, unify(1))],
-                           "__jb", asof_bucket, batch_format="pyarrow",
-                           drop_bucket_col=False, empty_table=empty)
+    return exchange([(l_refs, unify(0)), (r_refs, unify(1))], asof_bucket,
+                    by="__jb", batch_format="pyarrow", empty=empty)
 
 
 def range_band_join(ds, bands: pd.DataFrame, *, value_col: str,
@@ -627,8 +624,73 @@ def pre_aggregate(
 
 
 # ---------------------------------------------------------------------------
-# group-integral hash exchange (raw Ray tasks — deliberate drop below the
-# Dataset API, see hash_exchange_apply docstring for the measured reason)
+# the one key -> bucket hasher (every keyed exchange, sink partition and
+# co-partitioned iteration derives its bucket ids here)
+# ---------------------------------------------------------------------------
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer (public-domain mixing constants)."""
+    x = x.astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _key_text(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Canonical text of one key column: shortest-repr floats (as Python's
+    ``str``), Arrow's string cast otherwise, ``"None"`` for null."""
+    if pa.types.is_floating(col.type):
+        return pa.chunked_array([col.to_numpy().astype(str)])  # null: "nan"
+    return col.cast(pa.string()).fill_null("None")
+
+
+def bucket_ids(tbl: pa.Table, cols: list[str], n_buckets: int) -> np.ndarray:
+    """Value-deterministic int32 bucket ids of the key columns ``cols``.
+    Reads only those columns, on Arrow — a pandas conversion would make a
+    null-bearing int64 key float64 and bucket it differently from the
+    same key in a null-free batch.
+
+    - All-integer keys: the splitmix64 chain ``h = splitmix(h ^
+      splitmix(k))`` over the columns from ``h = 0``, nulls as 0.
+    - Any other key: blake2b-64 of the columns' texts (``_key_text``)
+      concatenated without a separator, hashed once per distinct key.
+      The pinned bucket ids fix this form. Keys whose texts concatenate
+      alike, ("a", "bc") and ("ab", "c"), share a bucket, which is
+      harmless: ``fn`` groups by the key columns themselves.
+
+    NEVER ``pd.util.hash_pandas_object`` here: observed on this stack
+    (pandas 2.2.2) hashing the IDENTICAL string to two different values in
+    different map tasks of one run, which silently breaks any exchange
+    keyed on it (duplicate keys land in different buckets). Python's
+    builtin ``hash`` is salted and equally forbidden."""
+    import pyarrow.compute as pc
+
+    from ..index.docid import blake2b_rows
+
+    key = [tbl[c] for c in cols]
+    if all(pa.types.is_integer(k.type) or pa.types.is_null(k.type)
+           for k in key):  # an all-null block may type an int key `null`
+        h = np.zeros(tbl.num_rows, dtype=np.uint64)
+        for k in key:
+            v = k.cast(pa.int64(), safe=False).fill_null(0).to_numpy()
+            h = _splitmix64(h ^ _splitmix64(v.view(np.uint64)))
+        return (h % np.uint64(n_buckets)).astype(np.int32)
+    text = [_key_text(k) for k in key]
+    joined = (pc.binary_join_element_wise(*text, "") if len(text) > 1
+              else text[0]).combine_chunks()
+    dic = pc.dictionary_encode(joined)
+    uh = blake2b_rows(dic.dictionary, 8)[:, 0]
+    idx = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    return (uh[idx] % np.uint64(n_buckets)).astype(np.int32)
+
+
+# ---------------------------------------------------------------------------
+# the exchange: group-integral repartitioning on raw Ray tasks (a
+# deliberate drop below the Dataset API, see exchange() for the measured
+# reason)
 # ---------------------------------------------------------------------------
 
 
@@ -737,17 +799,15 @@ def _reduce_group(fn, batch_format: str, drop_col: str | None, values: list,
 # remote-fn wrappers are cached at module level: re-wrapping per exchange
 # re-exports the function to every worker on each call (measured ~0.5-1s
 # per exchange at 32 workers)
-_PART_REMOTE = None
-_RED_REMOTE: dict = {}
+_REMOTE: dict = {}
 
 
-def _remote_fns(num_cpus: float):
-    global _PART_REMOTE
-    if _PART_REMOTE is None:
-        _PART_REMOTE = ray.remote(num_returns=2)(_partition_chunk)
-    if num_cpus not in _RED_REMOTE:
-        _RED_REMOTE[num_cpus] = ray.remote(num_cpus=num_cpus)(_reduce_group)
-    return _PART_REMOTE, _RED_REMOTE[num_cpus]
+def _remote(name: str):
+    if not _REMOTE:
+        _REMOTE["part"] = ray.remote(num_returns=2)(_partition_chunk)
+        _REMOTE["reduce"] = ray.remote(_reduce_group)
+        _REMOTE["pin"] = ray.remote(_consolidate_bucket)
+    return _REMOTE[name]
 
 
 def _apply_empty(fn, batch_format: str, drop: str | None, empty: pa.Table):
@@ -761,19 +821,140 @@ def _apply_empty(fn, batch_format: str, drop: str | None, empty: pa.Table):
     return rd.from_arrow(out)
 
 
-def _exchange_sides(sides, bucket_col: str, fn, *, batch_format: str = "pandas",
-                    drop_bucket_col: bool = True, num_cpus: float = 1,
-                    empty_table: pa.Table | None = None):
-    """Shared exchange core over one or more (block_refs, pre_fn) sides.
+def _consolidate_bucket(v, drop_col: str | None, dict_refs):
+    """Concat one bucket value's slices (ascending task order) into a
+    single pinned Arrow table."""
+    dicts = ray.get(list(dict_refs))
+    tbl = pa.concat_tables(ray.get([d[v] for d in dicts if v in d]),
+                           promote_options="permissive").combine_chunks()
+    if drop_col and drop_col in tbl.column_names:
+        tbl = tbl.drop_columns([drop_col])
+    return tbl
 
+
+def _run_local(local, batch_format: str, tbl: pa.Table,
+               key_cols: list[str]) -> pa.Table:
+    """Apply the in-batch pre-reduce in fn's batch format. A pandas round
+    trip renders a null-bearing int key float64; the key columns are cast
+    back to their input type so the key buckets the same in every batch."""
+    if batch_format != "pandas":
+        return local(tbl)
+    out = pa.Table.from_pandas(local(tbl.to_pandas()), preserve_index=False)
+    for c in key_cols:
+        t = tbl.schema.field(c).type
+        if (c in out.column_names and pa.types.is_integer(t)
+                and pa.types.is_floating(out.schema.field(c).type)):
+            out = out.set_column(out.schema.get_field_index(c), c,
+                                 out[c].cast(t))
+    return out
+
+
+def _side_pre(pre, local, batch_format: str, keys, mod, n_buckets: int):
+    """One side's partition-task transform: ``pre`` (Arrow), then
+    ``local`` (fn's batch format), then the derived ``__bucket``."""
+    if local is None and keys is None and mod is None:
+        return pre
+    key_cols = keys if keys is not None else [mod] if mod is not None else []
+
+    def f(tbl: pa.Table) -> pa.Table:
+        if pre is not None:
+            tbl = pre(tbl)
+        if local is not None:
+            tbl = _run_local(local, batch_format, tbl, key_cols)
+        if keys is not None:
+            b = bucket_ids(tbl, keys, n_buckets)
+        elif mod is not None:
+            v = tbl[mod].fill_null(0).to_numpy().astype(np.int64)
+            b = (v % n_buckets).astype(np.int32)
+        else:
+            return tbl
+        return tbl.append_column("__bucket", pa.array(b))
+
+    return f
+
+
+def _partition(sides, col: str, cpus: int):
+    """Submit the partition tasks of every side (~1 task per CPU, capped at
+    16 blocks per task, so slice objects are per (task, bucket), not per
+    (block, bucket)). Returns the partition-map refs and, from the tiny key
+    lists (the only thing the driver ray.gets), {value: [task index]} in
+    task (= block) order and {value: bytes}."""
+    n_blocks = sum(len(refs) for refs, _ in sides)
+    chunk = max(1, min(16, -(-n_blocks // cpus)))
+    part = _remote("part")
+    key_refs, dict_refs = [], []
+    for refs, pre in sides:
+        pre_ref = ray.put(pre) if pre is not None else None
+        for i in range(0, len(refs), chunk):
+            kr, dr = part.remote(col, pre_ref, *refs[i:i + chunk])
+            key_refs.append(kr)
+            dict_refs.append(dr)
+    by_bucket: dict = {}
+    sizes: dict = {}
+    for ti, keys in enumerate(ray.get(key_refs)):
+        for v, nb in keys:
+            by_bucket.setdefault(v, []).append(ti)
+            sizes[v] = sizes.get(v, 0) + nb
+    return dict_refs, by_bucket, sizes
+
+
+def exchange(src, fn=None, *, by: str | None = None,
+             keys: list[str] | None = None, mod: str | None = None,
+             n_buckets: int = 64, pre=None, local=None,
+             batch_format: str = "pandas", empty: pa.Table | None = None):
+    """Apply ``fn`` to ALL rows of each bucket, with GUARANTEED group
+    integrity — the engine's one exchange entry point, an explicit
+    object-store exchange built on raw Ray tasks.
+
+    ``src`` is a Dataset, or a list of ``(block_refs, pre)`` sides (joins,
+    multi-sided text and graph ops) whose rows meet in shared buckets.
+    A side's ``pre`` (Arrow -> Arrow; ``pre=`` for a Dataset ``src``) runs
+    FUSED inside the partition tasks: per-side alignment, tagging or a
+    derived bucket column cost no standalone map_batches pass.
+
+    Bucketing, exactly one of:
+
+    - ``by=col``: one bucket per distinct value of an existing column (the
+      build's dedup ``bucket`` and loser ``file`` exchanges, the sink's
+      ``__bucket``, the joins' salted ``__jb``); ``fn`` sees the column;
+    - ``keys=[cols]``: ``bucket_ids(tbl, keys, n_buckets)``;
+    - ``mod=col``: integer column ``% n_buckets`` (nulls as 0).
+
+    The ``__bucket`` column ``keys``/``mod`` derive is dropped before
+    ``fn``. ``local`` is an in-batch pre-reduce (pre-dedup, partial
+    aggregate) run in the partition tasks after ``pre`` and before
+    bucketing, in ``fn``'s ``batch_format``: the exchange ships its
+    output, not the batch.
+
+    ``fn=None`` is the PINNED form: partition ONCE and return {bucket
+    value: ObjectRef(Arrow table)} — per-bucket tables pinned in the
+    object store for ITERATIVE algorithms (label propagation, PageRank)
+    that would otherwise re-exchange static data every round. ``empty``
+    is the typed table ``fn`` sees when no row reaches any bucket
+    (default: the first input block's schema), so the output keeps fn's
+    schema.
+
+    Why not ``groupby(col).map_groups(fn)``: under this Ray build the
+    sort-based shuffle can deliver one key's rows across more than one fn
+    invocation (reproduced on this machine: a 25-row candidate dataset over
+    64 bucket values intermittently yielded one bucket's rows as an 8-copy
+    call plus a separate 1-row call, ~1-in-4 runs), which silently breaks
+    dedup/join/window semantics. Aggregates (combiner trees) are immune —
+    30/30 clean trials — so ``groupby().aggregate`` stays on the Dataset
+    API; whole-group applies route through here instead.
+
+    Mechanics: partition tasks split their rows by bucket value (rows stay
+    in the object store, one ``ray.put`` per (task, bucket)); reduce tasks
+    concatenate each value's slices in block order and apply ``fn`` to the
+    complete group; the output is a Dataset over the reduce results.
+    Co-location is by construction — the partition map IS the exchange.
     Driver footprint is O(tasks + buckets) ObjectRefs: each partition task
     returns (keys, map) with ``num_returns=2``; the driver ray.gets ONLY
     the tiny key lists to learn which tasks feed which bucket, and hands
     each reducer the map REFS — the O(blocks x buckets) slice refs live in
     the object store (pinned by containment in the map objects, which are
     pinned as reducer arguments) and are fetched by the reducers, never by
-    the driver. Chunking: ~1 task per CPU, capped at 16 blocks per task,
-    so slice objects are per (task, bucket), not per (block, bucket).
+    the driver.
 
     Small buckets are GROUPED into shared reducer tasks (greedy by size,
     in sorted-value order; fn still runs per value — see _reduce_group).
@@ -781,26 +962,20 @@ def _exchange_sides(sides, bucket_col: str, fn, *, batch_format: str = "pandas",
     O(tasks-hit x buckets-in-map) nested ObjectRefs, so for tiny inputs
     64 separate reducers would pay ~T x B borrower registrations each;
     grouping bounds reducer count by data volume instead."""
-    n_blocks = sum(len(refs) for refs, _ in sides)
+    if sum(x is not None for x in (by, keys, mod)) != 1:
+        raise ValueError("exchange: pass exactly one of by=, keys=, mod=")
+    sides = src if isinstance(src, list) else [(src.to_arrow_refs(), pre)]
+    sides = [(refs, _side_pre(p, local, batch_format, keys, mod, n_buckets))
+             for refs, p in sides]
+    col, drop = (by, None) if by is not None else ("__bucket", "__bucket")
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    chunk = max(1, min(16, -(-n_blocks // cpus)))
-    part, red = _remote_fns(num_cpus)
-    key_refs, dict_refs = [], []
-    for refs, pre in sides:
-        pre_ref = ray.put(pre) if pre is not None else None
-        for i in range(0, len(refs), chunk):
-            kr, dr = part.remote(bucket_col, pre_ref, *refs[i:i + chunk])
-            key_refs.append(kr)
-            dict_refs.append(dr)
-    by_bucket: dict = {}  # value -> [task index] in task (= block) order
-    sizes: dict = {}
-    for ti, keys in enumerate(ray.get(key_refs)):
-        for v, nb in keys:
-            by_bucket.setdefault(v, []).append(ti)
-            sizes[v] = sizes.get(v, 0) + nb
+    dict_refs, by_bucket, sizes = _partition(sides, col, cpus)
+    if fn is None:
+        pin = _remote("pin")
+        return {v: pin.remote(v, drop, [dict_refs[i] for i in sorted(set(idxs))])
+                for v, idxs in by_bucket.items()}
     total_bytes = sum(sizes.values())
     min_group = min(64 << 20, max(1 << 20, total_bytes // (4 * cpus)))
-    drop = bucket_col if drop_bucket_col else None
     # greedy contiguous grouping over sorted values: big buckets get their
     # own reducer, tiny ones share; output row order (concat of groups in
     # sorted-value order) is identical to one-reducer-per-value
@@ -817,6 +992,7 @@ def _exchange_sides(sides, bucket_col: str, fn, *, batch_format: str = "pandas",
             cur_vals, cur_idxs, cur_bytes = [], [], 0
     if cur_vals:
         groups.append((cur_vals, cur_idxs))
+    red = _remote("reduce")
     out_refs = []
     for vals, idx_lists in groups:
         # ASCENDING task-index union: _reduce_group walks this list per
@@ -827,217 +1003,17 @@ def _exchange_sides(sides, bucket_col: str, fn, *, batch_format: str = "pandas",
         out_refs.append(red.remote(fn, batch_format, drop, vals,
                                    [dict_refs[i] for i in seen]))
     if not out_refs:
-        if empty_table is None:
+        if empty is None:
             first = next((refs[0] for refs, _ in sides if refs), None)
-            empty_table = _to_arrow(ray.get(first)).schema.empty_table() if first is not None else pa.table({})
-        return _apply_empty(fn, batch_format, drop, empty_table)
+            empty = (_to_arrow(ray.get(first)).schema.empty_table()
+                     if first is not None else pa.table({}))
+        return _apply_empty(fn, batch_format, drop, empty)
     return rd.from_arrow_refs(out_refs)
-
-
-def _consolidate_bucket(v, dict_refs):
-    """Concat one bucket value's slices (ascending task order) into a
-    single pinned Arrow table."""
-    dicts = ray.get(list(dict_refs))
-    tables = ray.get([d[v] for d in dicts if v in d])
-    return pa.concat_tables(tables,
-                            promote_options="permissive").combine_chunks()
-
-
-_CONS_REMOTE = None
-
-
-def pinned_bucket_tables(ds, bucket_col: str, *, pre=None) -> dict:
-    """Partition ``ds`` ONCE by ``bucket_col`` and return {bucket value:
-    ObjectRef(Arrow table)} — per-bucket tables pinned in the object store
-    for ITERATIVE algorithms (label propagation, semi-naive closure) that
-    would otherwise re-exchange static data every round. The driver holds
-    O(buckets) refs; rows never visit it. ``pre`` runs fused in the
-    partition tasks (derive the bucket column there)."""
-    global _CONS_REMOTE
-    refs = ds.to_arrow_refs()
-    part, _ = _remote_fns(1)
-    if _CONS_REMOTE is None:
-        _CONS_REMOTE = ray.remote(_consolidate_bucket)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    chunk = max(1, min(16, -(-len(refs) // cpus))) if refs else 1
-    pre_ref = ray.put(pre) if pre is not None else None
-    key_refs, dict_refs = [], []
-    for i in range(0, len(refs), chunk):
-        kr, dr = part.remote(bucket_col, pre_ref, *refs[i:i + chunk])
-        key_refs.append(kr)
-        dict_refs.append(dr)
-    by_bucket: dict = {}
-    for ti, keys in enumerate(ray.get(key_refs)):
-        for v, _nb in keys:
-            by_bucket.setdefault(v, []).append(ti)
-    return {v: _CONS_REMOTE.remote(v, [dict_refs[i] for i in sorted(set(idxs))])
-            for v, idxs in by_bucket.items()}
-
-
-def hash_exchange_apply(ds, bucket_col: str, fn, *, batch_format: str = "pandas",
-                        drop_bucket_col: bool = True, num_cpus: float = 1,
-                        pre=None):
-    """Apply ``fn`` to ALL rows of each bucket value, with GUARANTEED group
-    integrity, via an explicit object-store hash exchange built on raw Ray
-    tasks.
-
-    Why not ``groupby(col).map_groups(fn)``: under this Ray build the
-    sort-based shuffle can deliver one key's rows across more than one fn
-    invocation (reproduced on this machine: a 25-row candidate dataset over
-    64 bucket values intermittently yielded one bucket's rows as an 8-copy
-    call plus a separate 1-row call, ~1-in-4 runs), which silently breaks
-    dedup/join/window semantics. Aggregates (combiner trees) are immune —
-    30/30 clean trials — so ``groupby().aggregate`` stays on the Dataset
-    API; whole-group applies route through here instead.
-
-    Mechanics: partition tasks (a few blocks each) split their rows by the
-    bucket column (rows stay in the object store, one ``ray.put`` per
-    (task, bucket)); one reduce task per bucket value concatenates its
-    slices in block order and applies ``fn`` to the complete group. Output
-    is a Dataset over the reduce results. Co-location is by construction —
-    the partition map is the exchange, exactly like the index build's
-    SPIMI/file exchanges but through the object store; see _exchange_sides
-    for the driver-footprint contract. ``pre`` (Arrow table -> Arrow
-    table) runs fused inside the partition tasks — use it for local
-    pre-reduction / bucket-id derivation instead of a standalone
-    map_batches pass."""
-    return _exchange_sides([(ds.to_arrow_refs(), pre)], bucket_col, fn,
-                           batch_format=batch_format,
-                           drop_bucket_col=drop_bucket_col, num_cpus=num_cpus)
-
-
-def keyed_exchange_apply(ds, key_cols: list[str], fn, n_buckets: int = 64, *,
-                         local=None, local_arrow=None,
-                         batch_format: str = "pandas",
-                         num_cpus: float = 1):
-    """hash_exchange_apply with bucket-id computation (and an optional
-    in-batch pre-reduce, e.g. pre-dedup) FUSED into the partition tasks:
-    the whole exchange costs zero extra whole-data passes beyond the
-    partition/reduce pair itself. ``local`` is pandas->pandas;
-    ``local_arrow`` (mutually exclusive) is Arrow->Arrow and keeps the
-    zero-copy pre path even for string keys."""
-    if local is not None and local_arrow is not None:
-        raise ValueError("pass local or local_arrow, not both")
-
-    def pre_pandas(tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas()
-        if local is not None:
-            df = local(df)
-        df["__bucket"] = stable_bucket_ids(df, key_cols, n_buckets)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def pre_arrow(tbl: pa.Table) -> pa.Table:
-        # zero-copy fast path: arrow local pre-reduce (if any), then —
-        # for all-integer keys — hash straight off the Arrow buffers
-        # (A/B at sf0.1: pandas round trip was the entire pre cost for
-        # sessionize-shaped exchanges)
-        if local_arrow is not None:
-            tbl = local_arrow(tbl)
-        if not all(pa.types.is_integer(tbl.schema.field(c).type) for c in key_cols):
-            if local_arrow is not None:
-                # keep payload columns ARROW (a full to_pandas would turn
-                # null-bearing int64 payloads into float64, rounding values
-                # > 2^53 and flipping the block schema per batch — the same
-                # hazard fixed in the join paths): hash only the KEY
-                # columns through the deterministic string hasher
-                kdf = pd.DataFrame({c: tbl[c].to_numpy(zero_copy_only=False)
-                                    for c in key_cols})
-                return tbl.append_column(
-                    "__bucket",
-                    pa.array(stable_bucket_ids(kdf, key_cols, n_buckets)))
-            df = tbl.to_pandas()
-            df["__bucket"] = stable_bucket_ids(df, key_cols, n_buckets)
-            return pa.Table.from_pandas(df, preserve_index=False)
-        h = np.zeros(tbl.num_rows, dtype=np.uint64)
-        for c in key_cols:
-            # fill_null BEFORE to_numpy: a batch containing any null would
-            # otherwise convert the whole column to float64, rounding int64
-            # keys > 2^53 and bucketing the SAME key differently in
-            # null-bearing vs null-free batches (same hazard/fix as
-            # partitioned_join's int-key path)
-            col = tbl[c].fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-            h = _splitmix64(h ^ _splitmix64(col.view(np.uint64)))
-        bucket = (h % np.uint64(n_buckets)).astype(np.int32)
-        return tbl.append_column("__bucket", pa.array(bucket))
-
-    return hash_exchange_apply(ds, "__bucket", fn, batch_format=batch_format,
-                               num_cpus=num_cpus,
-                               pre=pre_pandas if local is not None else pre_arrow)
-
-
-def mod_exchange_apply(ds, col: str, fn, n_buckets: int = 64, *,
-                       local=None, batch_format: str = "pandas"):
-    """keyed_exchange_apply for an integer column, bucketing by ``col %
-    n_buckets`` inside the partition tasks."""
-
-    def pre(tbl: pa.Table) -> pa.Table:
-        if local is not None:
-            df = local(tbl.to_pandas())
-            df["__bucket"] = (df[col].astype(np.int64) % n_buckets).astype(np.int32)
-            return pa.Table.from_pandas(df, preserve_index=False)
-        v = tbl[col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return tbl.append_column(
-            "__bucket", pa.array((v % n_buckets).astype(np.int32)))
-
-    return hash_exchange_apply(ds, "__bucket", fn, batch_format=batch_format, pre=pre)
 
 
 # ---------------------------------------------------------------------------
 # bucketed per-key ops (D3 dedup-first, O1 ordinals, windows)
 # ---------------------------------------------------------------------------
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (public-domain mixing constants)."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
-
-
-def stable_bucket_ids(df: pd.DataFrame, cols: list[str], n_buckets: int) -> np.ndarray:
-    """Value-deterministic bucket ids for shuffle keys.
-
-    NEVER ``pd.util.hash_pandas_object`` here: observed on this stack
-    (pandas 2.2.2) hashing the IDENTICAL string to two different values in
-    different map tasks of one run, which silently breaks any exchange
-    keyed on it (duplicate keys land in different buckets). All-integer
-    keys mix via vectorized splitmix64; anything else goes through
-    blake2b-64 of the canonical joined string (Python's builtin ``hash``
-    is salted and equally forbidden)."""
-    if all(np.issubdtype(df[c].dtype, np.integer) for c in cols):
-        h = np.zeros(len(df), dtype=np.uint64)
-        for c in cols:
-            h = _splitmix64(h ^ _splitmix64(df[c].to_numpy(np.int64).view(np.uint64)))
-        return (h % np.uint64(n_buckets)).astype(np.int32)
-    # canonical joined key via vectorized pandas string concat, hashed via
-    # the buffer-level batch loop (per UNIQUE key only) — values identical
-    # to the original per-row blake2b of the same joined string
-    import pyarrow.compute as pc
-
-    from ..index.docid import blake2b_rows
-
-    keys = df[cols[0]].astype(str)
-    for c in cols[1:]:
-        keys = keys + "\x00" + df[c].astype(str)
-    arr = pa.array(keys.to_numpy(dtype=object), pa.string())
-    dic = pc.dictionary_encode(arr)
-    uh = blake2b_rows(dic.dictionary, 8)[:, 0]
-    idx = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    return (uh[idx] % np.uint64(n_buckets)).astype(np.int32)
-
-
-def add_hash_bucket(ds, cols: list[str], n_buckets: int, out: str = "__bucket"):
-    """Deterministic key-hash bucket column (see stable_bucket_ids)."""
-
-    def f(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[out] = stable_bucket_ids(batch, cols, n_buckets)
-        return batch
-
-    return ds.map_batches(f, batch_format="pandas")
-
 
 def dedup_first(ds, key_cols: list[str], order_cols: list[str], n_buckets: int = 64):
     """Exact per-key first-wins dedup (D3): hash-bucket by key, sort+drop
@@ -1077,8 +1053,8 @@ def dedup_first(ds, key_cols: list[str], order_cols: list[str], n_buckets: int =
             [c[:-6] if c.endswith("_first") else c for c in out.column_names])
         return out.select(names)
 
-    return keyed_exchange_apply(ds, key_cols, local_a, n_buckets,
-                                local_arrow=local_a, batch_format="pyarrow")
+    return exchange(ds, local_a, keys=key_cols, n_buckets=n_buckets,
+                    local=local_a, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1298,7 +1274,7 @@ def best_per_key(ds, keys: list[str], *, value_col: str, tiebreak_col: str,
                             kind="mergesort")
         return df.groupby(keys, sort=False, dropna=False).head(1)
 
-    return keyed_exchange_apply(ds, keys, best, n_buckets, local=best)
+    return exchange(ds, best, keys=keys, n_buckets=n_buckets, local=best)
 
 
 def topk_per_key(ds, keys: list[str], *, value_col: str, tiebreak_col: str,
@@ -1330,7 +1306,7 @@ def topk_per_key(ds, keys: list[str], *, value_col: str, tiebreak_col: str,
                         + 1).astype(np.int64)
         return df
 
-    return keyed_exchange_apply(ds, keys, final, n_buckets, local=local)
+    return exchange(ds, final, keys=keys, n_buckets=n_buckets, local=local)
 
 
 def grouped_zscore(ds, keys: list[str], value_col: str, *,
@@ -1354,13 +1330,13 @@ def grouped_zscore(ds, keys: list[str], value_col: str, *,
                       "__v": batch["__v"], "__v2": batch["__v2"]})
         g = pa.TableGroupBy(t, keys).aggregate(
             [("__v", "sum"), ("__v2", "sum"), ([], "count_all")])
-        return g.rename_columns(
-            [*keys, "s", "s2", "n"])
+        names = {"__v_sum": "s", "__v2_sum": "s2", "count_all": "n"}
+        return g.rename_columns([names.get(c, c) for c in g.column_names])
 
     # keep the tiny stats table ARROW end to end: a pandas driver-final
     # frame would promote int64 keys to float64 when any null key is
     # present, rounding keys > 2^53 and merging distinct groups (the same
-    # hazard guarded in keyed_exchange_apply / the join paths)
+    # hazard guarded in bucket_ids / the join paths)
     parts = ds.map_batches(add_sq, batch_format="pyarrow") \
         .map_batches(partial, batch_format="pyarrow")
     merged = pa.concat_tables(
@@ -1612,9 +1588,8 @@ def interval_overlap_join(left, right, *, left_cols: tuple[str, str],
                               batch_format="pyarrow") \
         .union(right.map_batches(replicate(1, rs, re_, r_rename),
                                  batch_format="pyarrow"))
-    return keyed_exchange_apply(tagged, ["__rng"], join_span, n_buckets,
-                                batch_format="pyarrow",
-                                local_arrow=lambda t: t)
+    return exchange(tagged, join_span, keys=["__rng"], n_buckets=n_buckets,
+                    batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1721,7 +1696,7 @@ def key_cooccurrence(ds, group_col: str, item_col: str, *,
         return (out.groupby(["item_a", "item_b"], sort=False)
                 .size().reset_index(name="n_groups"))
 
-    part = keyed_exchange_apply(pairs, [group_col], per_bucket, n_buckets)
+    part = exchange(pairs, per_bucket, keys=[group_col], n_buckets=n_buckets)
     return pre_aggregate(part, ["item_a", "item_b"],
                          sums={"n_groups": "n_groups"}, driver_final=True)
 
@@ -1743,7 +1718,8 @@ def grouped_mode(ds, key_cols: list[str], val_col: str, *,
         t = batch.select(key_cols + [val_col]).drop_null()
         t = pa.TableGroupBy(t, key_cols + [val_col]).aggregate(
             [([], "count_all")])
-        return t.rename_columns(key_cols + [val_col, "__n"])
+        return t.rename_columns(
+            ["__n" if c == "count_all" else c for c in t.column_names])
 
     def pick(df: pd.DataFrame) -> pd.DataFrame:
         cols = key_cols + [out_col, count_col]
@@ -1758,6 +1734,5 @@ def grouped_mode(ds, key_cols: list[str], val_col: str, *,
         tot.columns = cols
         return tot
 
-    return keyed_exchange_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        key_cols, pick, n_buckets)
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), pick,
+                    keys=key_cols, n_buckets=n_buckets)

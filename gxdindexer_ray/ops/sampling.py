@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .relational import _splitmix64, keyed_exchange_apply, mod_exchange_apply
+from .relational import _splitmix64, exchange
 
 
 def _id_hashes(ids: np.ndarray, seed: int) -> np.ndarray:
@@ -72,7 +72,7 @@ def hash_sample_per_key(ds, *, key_col: str, id_col: str, k: int,
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return topk(df)[[key_col, id_col]]
 
-    return keyed_exchange_apply(ds, [key_col], final, n_buckets, local=partial)
+    return exchange(ds, final, keys=[key_col], n_buckets=n_buckets, local=partial)
 
 
 def hash_split(ds, *, id_col: str, splits: dict[str, float], seed: int = 0,
@@ -148,9 +148,8 @@ def shuffle_shard(ds, *, id_col: str, n_shards: int = 16, seed: int = 0):
                          "pos": pa.array(out)})
 
     shards = ds.map_batches(pre, batch_format="pyarrow")
-    return mod_exchange_apply(shards, "shard", rank,
-                              n_buckets=min(n_shards, 64),
-                              batch_format="pyarrow")
+    return exchange(shards, rank, mod="shard", n_buckets=min(n_shards, 64),
+                    batch_format="pyarrow")
 
 
 def source_mix(ds, *, key_col: str = "source", id_col: str = "doc_id",

@@ -299,7 +299,7 @@ def build_ivf_index(ds, index_dir, *, n_clusters: int = 16, sample_limit: int = 
 
     import pyarrow.parquet as pq
 
-    from .relational import _splitmix64, hash_exchange_apply, pre_aggregate
+    from .relational import _splitmix64, exchange, pre_aggregate
 
     out = Path(index_dir)
     tmp = out.with_name(out.name + ".tmp")
@@ -353,8 +353,8 @@ def build_ivf_index(ds, index_dir, *, n_clusters: int = 16, sample_limit: int = 
                          "rows": pa.array([tbl.num_rows], pa.int64())})
 
     sharded = assigned.map_batches(subshard, batch_format="pyarrow")
-    cells = hash_exchange_apply(sharded, "cellshard", write_cell,
-                                batch_format="pyarrow", drop_bucket_col=False).to_pandas()
+    cells = exchange(sharded, write_cell, by="cellshard",
+                     batch_format="pyarrow").to_pandas()
     np.save(tmp / "centroids.npy", centroids)
     rows_per_cell: dict[int, int] = {}
     for _, r in cells.iterrows():
@@ -822,7 +822,7 @@ def semdedup(ds, *, id_col: str = "vec_id", emb_col: str = "embedding",
     materialized ONCE here and shared with the k-means rounds and the
     labeling map (no upstream re-execution). Returns a (id, cluster)
     Dataset of SURVIVORS."""
-    from .relational import keyed_exchange_apply
+    from .relational import exchange
 
     ds = ds.materialize()
     labeled, _cents = kmeans_cluster(
@@ -854,6 +854,5 @@ def semdedup(ds, *, id_col: str = "vec_id", emb_col: str = "embedding",
                              tbl.schema.field(id_col).type),
             "cluster": pa.array(np.concatenate(keep_cl), pa.int32())})
 
-    return keyed_exchange_apply(labeled, ["cluster"], per_bucket, n_buckets,
-                                batch_format="pyarrow",
-                                local_arrow=lambda t: t)
+    return exchange(labeled, per_bucket, keys=["cluster"], n_buckets=n_buckets,
+                    batch_format="pyarrow")

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .relational import hash_exchange_apply, stable_bucket_ids
+from .relational import bucket_ids, exchange
 
 
 def write_partitioned(ds, out_dir: str | Path, *, key_cols: list[str],
@@ -51,8 +51,7 @@ def write_partitioned(ds, out_dir: str | Path, *, key_cols: list[str],
     out_str = str(out)
 
     def pre(tbl: pa.Table) -> pa.Table:
-        bk = stable_bucket_ids(tbl.select(key_cols).to_pandas(), key_cols,
-                               n_buckets)
+        bk = bucket_ids(tbl, key_cols, n_buckets)
         tbl = tbl.append_column("__bucket", pa.array(bk))
         if done_arr.size:
             keep = ~np.isin(bk, done_arr)
@@ -84,9 +83,8 @@ def write_partitioned(ds, out_dir: str | Path, *, key_cols: list[str],
                          "bytes": pa.array([man["bytes"]], pa.int64()),
                          "path": pa.array([path], pa.string())})
 
-    written = hash_exchange_apply(ds, "__bucket", write_bucket, pre=pre,
-                                  batch_format="pyarrow",
-                                  drop_bucket_col=False).to_pandas()
+    written = exchange(ds, write_bucket, by="__bucket", pre=pre,
+                       batch_format="pyarrow").to_pandas()
     # include previously-committed partitions in the returned manifest
     rows = [written] if len(written) else []
     for b in sorted(done):

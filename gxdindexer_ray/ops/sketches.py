@@ -322,7 +322,7 @@ def grouped_quantiles(ds, key_col: str, col: str, qs: list[float],
     reducer-sized — use exact_quantiles per key when one key's rows exceed
     a worker; same contract as every keyed exchange here). Returns one row
     per (key, q)."""
-    from .relational import keyed_exchange_apply
+    from .relational import exchange
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         out_k, out_q, out_v = [], [], []
@@ -337,11 +337,8 @@ def grouped_quantiles(ds, key_col: str, col: str, qs: list[float],
                 out_v.append(float(v[max(1, math.ceil(q * v.size)) - 1]))
         return pd.DataFrame({key_col: out_k, "q": out_q, "value": out_v})
 
-    def local(df: pd.DataFrame) -> pd.DataFrame:
-        return df[[key_col, col]]
-
-    return keyed_exchange_apply(ds, [key_col], per_bucket, n_buckets,
-                                local=local).to_pandas()
+    return exchange(ds, per_bucket, keys=[key_col], n_buckets=n_buckets,
+                    pre=lambda t: t.select([key_col, col])).to_pandas()
 
 
 def global_rank(ds, value_col: str, tiebreak_col: str, *,
@@ -364,7 +361,7 @@ def global_rank(ds, value_col: str, tiebreak_col: str, *,
     the in-range (value, tiebreak) lexsort — identical to the SQL window.
     Value skew bound: one range holds at least each distinct value's full
     tie group (the same bound any order-statistic partitioning has)."""
-    from .relational import keyed_exchange_apply, pre_aggregate
+    from .relational import exchange, pre_aggregate
 
     qs = [i / n_ranges for i in range(1, n_ranges)]
     cuts = np.unique(exact_quantiles(ds, value_col, qs)["value"].to_numpy())
@@ -395,8 +392,8 @@ def global_rank(ds, value_col: str, tiebreak_col: str, *,
         out[out_col] = np.repeat(base, sizes) + pos + 1
         return out
 
-    return keyed_exchange_apply(ranged, ["__range"], rank_range,
-                                min(n_buckets, max(1, len(cuts) + 1)))
+    return exchange(ranged, rank_range, keys=["__range"],
+                    n_buckets=min(n_buckets, max(1, len(cuts) + 1)))
 
 
 def robust_outliers(ds, key_col: str, value_col: str, *, k: float = 3.0,
@@ -407,11 +404,18 @@ def robust_outliers(ds, key_col: str, value_col: str, *, k: float = 3.0,
     heavy-tailed quality-score distributions where mean/stddev z-scores
     drown (each extreme doc drags the mean toward itself).
 
-    Three streaming passes, nothing group-sized on the driver:
+    Three streaming passes, no ROW-sized state on the driver:
       1. per-key exact median (grouped_quantiles — one key-hash exchange),
-      2. per-key exact MAD over |value - median| with the tiny median map
+      2. per-key exact MAD over |value - median| with the median map
          broadcast once (ray.put) into a map-side derivation,
       3. a pure map-side filter against the broadcast (median, MAD) maps.
+
+    Key-cardinality contract: the median and MAD maps are built on the
+    driver (``grouped_quantiles`` collects one row per key) and broadcast
+    to every task, so the driver and each worker hold two floats per
+    DISTINCT KEY. Fine for category-like keys (q116: 24 keys); for keys
+    whose cardinality approaches the row count, join the per-key stats
+    back with ``partitioned_join`` instead.
     Both medians are ``quantile_disc`` order statistics, so every
     comparison is reproducible double arithmetic (no interpolation).
     Multi-pass: an input with upstream transforms is materialized once up

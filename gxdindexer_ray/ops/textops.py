@@ -17,7 +17,7 @@ import ray
 from ray.data.aggregate import Sum
 
 from ..text.tokenize import doc_term_counts, tokenize_column
-from .relational import keyed_exchange_apply
+from .relational import exchange
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +118,9 @@ def lang_id(ds, id_col: str = "doc_id", text_col: str = "text"):
 # ---------------------------------------------------------------------------
 
 def _token_hashes(tokens: list[str]) -> np.ndarray:
-    return np.array(
-        [int.from_bytes(hashlib.blake2b(t.encode(), digest_size=8).digest(), "big") & ((1 << 63) - 1)
-         for t in tokens],
-        dtype=np.uint64,
-    )
+    from .dedup import _hash64_strings
+
+    return _hash64_strings(tokens) & np.uint64((1 << 63) - 1)
 
 
 def fingerprint_doc(tokens: list[str], k: int = 4, window: int = 8,
@@ -227,8 +225,6 @@ def exact_text_dedup(ds, id_col: str = "doc_id", text_col: str = "text", n_bucke
     partition tasks."""
     import pyarrow as pa
 
-    from .relational import hash_exchange_apply
-
     def pre(tbl: pa.Table) -> pa.Table:
         h1, h2, keep, n = _digest_partial(tbl, id_col, text_col)
         return pa.table({
@@ -256,8 +252,7 @@ def exact_text_dedup(ds, id_col: str = "doc_id", text_col: str = "text", n_bucke
             "n_copies": pa.array(np.add.reduceat(n[order], starts), pa.int64()),
         })
 
-    return hash_exchange_apply(ds, "__bucket", combine, pre=pre,
-                               batch_format="pyarrow")
+    return exchange(ds, combine, by="__bucket", pre=pre, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +479,11 @@ def top_tfidf_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
                .groupby(id_col, sort=False).head(k))
         return out.reset_index(drop=True)
 
-    scored = keyed_exchange_apply(
-        ds.map_batches(tf_rows, batch_format="pyarrow"),
-        ["term"], score_bucket, n_buckets,
-        batch_format="pyarrow", local_arrow=lambda t: t)
-    ranked = keyed_exchange_apply(scored, [id_col], topk, n_buckets,
-                                  local=topk)
+    scored = exchange(ds.map_batches(tf_rows, batch_format="pyarrow"),
+                      score_bucket, keys=["term"], n_buckets=n_buckets,
+                      batch_format="pyarrow")
+    ranked = exchange(scored, topk, keys=[id_col], n_buckets=n_buckets,
+                      local=topk)
 
     def round6(t: pa.Table) -> pa.Table:
         v = t["tfidf"].to_numpy(zero_copy_only=False)
@@ -524,8 +518,6 @@ def unigram_logprob_score(ds, *, id_col: str = "doc_id",
     Output floats are fixed-point rounded to 6 dp."""
     from ray.data.aggregate import Sum
 
-    from .relational import keyed_exchange_apply
-
     def tf_rows(batch: pa.Table) -> pa.Table:
         vocab, doc_idx, codes, tf = doc_term_counts(batch[text_col])
         return pa.table({
@@ -549,10 +541,9 @@ def unigram_logprob_score(ds, *, id_col: str = "doc_id",
             "L": pa.array(np.bincount(inv, weights=tf).astype(np.int64),
                           pa.int64())})
 
-    partials = keyed_exchange_apply(
-        ds.map_batches(tf_rows, batch_format="pyarrow"),
-        ["term"], bucket_partials, n_buckets,
-        batch_format="pyarrow", local_arrow=lambda t: t)
+    partials = exchange(ds.map_batches(tf_rows, batch_format="pyarrow"),
+                        bucket_partials, keys=["term"], n_buckets=n_buckets,
+                        batch_format="pyarrow")
 
     def sum_bucket(tbl: pa.Table) -> pa.Table:
         docs = tbl[id_col].to_numpy(zero_copy_only=False)
@@ -569,9 +560,8 @@ def unigram_logprob_score(ds, *, id_col: str = "doc_id",
     # int-key zero-copy bucket path + bincount reducer measured 14x
     # faster than the sort-based native Aggregate on ~10M partial rows
     # (46.3s -> 3.3s at 200k 60-token docs, scripts/probe_r5c.py)
-    per_doc = keyed_exchange_apply(partials, [id_col], sum_bucket,
-                                   n_buckets, batch_format="pyarrow",
-                                   local_arrow=lambda t: t)
+    per_doc = exchange(partials, sum_bucket, keys=[id_col],
+                       n_buckets=n_buckets, batch_format="pyarrow")
     if total_tokens is None:
         per_doc = per_doc.materialize()  # skinny: one row per doc
         total_tokens = per_doc.sum("L")
@@ -736,8 +726,7 @@ def pmi_collocations(ds, *, text_col: str = "text", k: int = 20,
         b["cx"] = b["k"].map(u).astype(np.int64)
         return b.rename(columns={"k": "x"})[["x", "y", "c", "cx"]]
 
-    from .relational import keyed_exchange_apply
-    with_cx = keyed_exchange_apply(partials, ["k"], bucket_x, n_buckets)
+    with_cx = exchange(partials, bucket_x, keys=["k"], n_buckets=n_buckets)
 
     def rekey_y(t: pa.Table) -> pa.Table:
         return pa.table({"k": t["y"], "x": t["x"], "c": t["c"],
@@ -772,7 +761,7 @@ def pmi_collocations(ds, *, text_col: str = "text", k: int = 20,
                                 ascending=[False, True, True],
                                 kind="mergesort").head(k))
 
-    parts = keyed_exchange_apply(sides, ["k"], bucket_y, n_buckets) \
+    parts = exchange(sides, bucket_y, keys=["k"], n_buckets=n_buckets) \
         .to_pandas()
     out = (parts.sort_values(["pmi", "x", "y"],
                              ascending=[False, True, True], kind="mergesort")
@@ -799,7 +788,7 @@ def boilerplate_ngrams(ds, *, text_col: str = "text", n: int = 5,
     top-k; the driver merges k rows per bucket. Nothing vocabulary-sized is
     broadcast or collected."""
     from ..text.tokenize import doc_ngrams
-    from .relational import keyed_exchange_apply, distributed_topk
+    from .relational import distributed_topk
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         grams, gdoc = doc_ngrams(batch[text_col], n)
@@ -828,10 +817,9 @@ def boilerplate_ngrams(ds, *, text_col: str = "text", n: int = 5,
                                                 ("gram", "ascending")])
         return out.take(order.slice(0, k))
 
-    cands = keyed_exchange_apply(
-        ds.map_batches(gram_rows, batch_format="pyarrow"),
-        ["gram"], bucket_topk, n_buckets,
-        batch_format="pyarrow", local_arrow=lambda t: t)
+    cands = exchange(ds.map_batches(gram_rows, batch_format="pyarrow"),
+                     bucket_topk, keys=["gram"], n_buckets=n_buckets,
+                     batch_format="pyarrow")
     return distributed_topk(cands, ["df", "gram"], [False, True], k)
 
 
@@ -867,7 +855,6 @@ def dup_gram_fraction(ds, *, id_col: str = "doc_id", text_col: str = "text",
     behavior, hence the split digest). Default stays the exact string
     form — it is what the SQL oracle gates."""
     from ..text.tokenize import doc_ngrams, tokenize_column
-    from .relational import keyed_exchange_apply
 
     def gram_tf_rows(batch: pa.Table) -> pa.Table:
         grams, gdoc = doc_ngrams(batch[text_col], n)
@@ -959,15 +946,15 @@ def dup_gram_fraction(ds, *, id_col: str = "doc_id", text_col: str = "text",
                             pa.int64())})
 
     if hash_grams:
-        partials = keyed_exchange_apply(
+        partials = exchange(
             ds.map_batches(hashed_tf_rows, batch_format="pyarrow"),
-            ["g1", "g2"], bucket_partials, n_buckets,
-            batch_format="pyarrow", local_arrow=lambda t: t)
+            bucket_partials, keys=["g1", "g2"], n_buckets=n_buckets,
+            batch_format="pyarrow")
     else:
-        partials = keyed_exchange_apply(
+        partials = exchange(
             ds.map_batches(gram_tf_rows, batch_format="pyarrow"),
-            ["gram"], bucket_partials, n_buckets,
-            batch_format="pyarrow", local_arrow=lambda t: t)
+            bucket_partials, keys=["gram"], n_buckets=n_buckets,
+            batch_format="pyarrow")
 
     def sum_and_finish(tbl: pa.Table) -> pa.Table:
         docs = tbl[id_col].to_numpy(zero_copy_only=False)
@@ -978,9 +965,8 @@ def dup_gram_fraction(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({id_col: pa.array(uniq, tbl.schema.field(id_col).type),
                          out_col: pa.array(v, pa.float64())})
 
-    return keyed_exchange_apply(partials, [id_col], sum_and_finish,
-                                n_buckets, batch_format="pyarrow",
-                                local_arrow=lambda t: t)
+    return exchange(partials, sum_and_finish, keys=[id_col],
+                    n_buckets=n_buckets, batch_format="pyarrow")
 
 
 def dsir_importance(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -1005,7 +991,6 @@ def dsir_importance(ds, *, id_col: str = "doc_id", text_col: str = "text",
     vocab-count row per bucket under a sentinel id; a doc-keyed exchange
     sums partials; the three scalars (T, T_target, V) come off the skinny
     materialized per-doc table, never a corpus pass."""
-    from .relational import keyed_exchange_apply
 
     SENTINEL = np.int64(-(2 ** 62))
 
@@ -1047,10 +1032,9 @@ def dsir_importance(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          "v": pa.array([nv], pa.int64())})
         return pa.concat_tables([out, sent])
 
-    partials = keyed_exchange_apply(
-        ds.map_batches(tf_rows, batch_format="pyarrow"),
-        ["term"], bucket_partials, n_buckets,
-        batch_format="pyarrow", local_arrow=lambda t: t)
+    partials = exchange(ds.map_batches(tf_rows, batch_format="pyarrow"),
+                        bucket_partials, keys=["term"], n_buckets=n_buckets,
+                        batch_format="pyarrow")
 
     def sum_bucket(tbl: pa.Table) -> pa.Table:
         docs = tbl[id_col].to_numpy(zero_copy_only=False)
@@ -1062,9 +1046,9 @@ def dsir_importance(ds, *, id_col: str = "doc_id", text_col: str = "text",
             cols[c] = pa.array(w if c == "s" else w.astype(np.int64), t)
         return pa.table(cols)
 
-    per_doc = keyed_exchange_apply(partials, [id_col], sum_bucket, n_buckets,
-                                   batch_format="pyarrow",
-                                   local_arrow=lambda t: t).materialize()
+    per_doc = exchange(partials, sum_bucket, keys=[id_col],
+                       n_buckets=n_buckets,
+                       batch_format="pyarrow").materialize()
     total = float(per_doc.sum("L"))
     total_t = float(per_doc.sum("Lt"))
     vocab_n = float(per_doc.sum("v"))
@@ -1114,8 +1098,6 @@ def remove_duplicate_spans(ds, *, id_col: str = "doc_id",
     bytes at n=8 for occurrence rows: two int64s replace the ~60-byte
     gram string in each (id, gram, pos) row; identical output — pinned
     by pytest)."""
-    from .relational import (_exchange_sides, _splitmix64,
-                             keyed_exchange_apply, stable_bucket_ids)
     from ..text.tokenize import doc_ngrams_pos, tokenize_column
 
     def occ_rows(batch: pa.Table) -> pa.Table:
@@ -1190,44 +1172,28 @@ def remove_duplicate_spans(ds, *, id_col: str = "doc_id",
             "pos": tbl["pos"].filter(pa.array(keep))})
 
     if hash_grams:
-        dups = keyed_exchange_apply(
+        dups = exchange(
             ds.map_batches(occ_rows_hashed, batch_format="pyarrow"),
-            ["g1", "g2"], dup_starts_hashed, n_buckets,
-            batch_format="pyarrow", local_arrow=lambda t: t)
+            dup_starts_hashed, keys=["g1", "g2"], n_buckets=n_buckets,
+            batch_format="pyarrow")
     else:
-        dups = keyed_exchange_apply(
-            ds.map_batches(occ_rows, batch_format="pyarrow"),
-            ["gram"], dup_starts, n_buckets,
-            batch_format="pyarrow", local_arrow=lambda t: t)
-
-    def bucket_of(tbl: pa.Table) -> pa.Array:
-        # int ids take the zero-copy splitmix path; anything else routes
-        # through the deterministic string hasher (same contract as
-        # keyed_exchange_apply)
-        if pa.types.is_integer(tbl.schema.field(id_col).type):
-            ids = tbl[id_col].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            b = _splitmix64(ids.view(np.uint64)) % np.uint64(n_buckets)
-            return pa.array(b.astype(np.int32))
-        kdf = pd.DataFrame({id_col: tbl[id_col].to_numpy(
-            zero_copy_only=False)})
-        return pa.array(stable_bucket_ids(kdf, [id_col], n_buckets))
+        dups = exchange(ds.map_batches(occ_rows, batch_format="pyarrow"),
+                        dup_starts, keys=["gram"], n_buckets=n_buckets,
+                        batch_format="pyarrow")
 
     def pre_dups(tbl: pa.Table) -> pa.Table:
         return pa.table({
             id_col: tbl[id_col],
             "pos": tbl["pos"].cast(pa.int64()),
             text_col: pa.nulls(tbl.num_rows, pa.string()),
-            "__side": pa.array(np.zeros(tbl.num_rows, np.int8)),
-            "__bucket": bucket_of(tbl)})
+            "__side": pa.array(np.zeros(tbl.num_rows, np.int8))})
 
     def pre_docs(tbl: pa.Table) -> pa.Table:
         return pa.table({
             id_col: tbl[id_col],
             "pos": pa.nulls(tbl.num_rows, pa.int64()),
             text_col: tbl[text_col],
-            "__side": pa.array(np.ones(tbl.num_rows, np.int8)),
-            "__bucket": bucket_of(tbl)})
+            "__side": pa.array(np.ones(tbl.num_rows, np.int8))})
 
     def rebuild(tbl: pa.Table) -> pa.Table:
         is_doc = pc.equal(tbl["__side"], pa.scalar(1, pa.int8()))
@@ -1264,10 +1230,10 @@ def remove_duplicate_spans(ds, *, id_col: str = "doc_id",
 
     docs_only = ds.map_batches(
         lambda t: t.select([id_col, text_col]), batch_format="pyarrow")
-    return _exchange_sides(
+    return exchange(
         [(dups.to_arrow_refs(), pre_dups),
          (docs_only.to_arrow_refs(), pre_docs)],
-        "__bucket", rebuild, batch_format="pyarrow")
+        rebuild, keys=[id_col], n_buckets=n_buckets, batch_format="pyarrow")
 
 
 def exact_dedup_incremental(new_ds, prior_ds, *, id_col: str = "doc_id",
@@ -1284,8 +1250,6 @@ def exact_dedup_incremental(new_ds, prior_ds, *, id_col: str = "doc_id",
     the docs themselves or an already-persisted digest table with int64
     columns (h1, h2) — e.g. the output of a previous run's digest dump —
     in which case no hashing happens on the prior side at all."""
-    from .relational import _exchange_sides
-
     def pre_new(tbl: pa.Table) -> pa.Table:
         h1, h2, keep, n = _digest_partial(tbl, id_col, text_col)
         return pa.table({
@@ -1342,10 +1306,10 @@ def exact_dedup_incremental(new_ds, prior_ds, *, id_col: str = "doc_id",
             "keep_id": pa.array(keep[lead][alive], pa.int64()),
             "n_copies": pa.array(counts[alive], pa.int64())})
 
-    return _exchange_sides(
+    return exchange(
         [(prior_ds.to_arrow_refs(), pre_prior),
          (new_ds.to_arrow_refs(), pre_new)],
-        "__bucket", combine, batch_format="pyarrow")
+        combine, by="__bucket", batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1424,21 +1388,16 @@ def snapshot_diff(old_ds, new_ds, *, key_col: str = "doc_id",
     each snapshot (it is a keyed corpus, not a multiset); content
     equality is digest equality (2^-128 collision odds, same contract as
     exact_text_dedup)."""
-    from .relational import _exchange_sides, _splitmix64
-
     def mk_pre(side: int):
         def pre(tbl: pa.Table) -> pa.Table:
             h = _md5_pairs(tbl[text_col])
             ids = tbl[key_col].to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
-            b = (_splitmix64(ids.view(np.uint64))
-                 % np.uint64(n_buckets)).astype(np.int32)
             return pa.table({
                 key_col: pa.array(ids, pa.int64()),
                 "h1": pa.array(h[:, 0].view(np.int64), pa.int64()),
                 "h2": pa.array(h[:, 1].view(np.int64), pa.int64()),
-                "__side": pa.array(np.full(ids.size, side, np.int8)),
-                "__bucket": pa.array(b)})
+                "__side": pa.array(np.full(ids.size, side, np.int8))})
         return pre
 
     def diff(tbl: pa.Table) -> pa.Table:
@@ -1463,10 +1422,10 @@ def snapshot_diff(old_ds, new_ds, *, key_col: str = "doc_id",
         return pa.table({key_col: pa.array(out_ids, pa.int64()),
                          "status": pa.array(out_st.tolist(), pa.string())})
 
-    return _exchange_sides(
+    return exchange(
         [(old_ds.to_arrow_refs(), mk_pre(0)),
          (new_ds.to_arrow_refs(), mk_pre(1))],
-        "__bucket", diff, batch_format="pyarrow")
+        diff, keys=[key_col], n_buckets=n_buckets, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1525,13 +1484,18 @@ def edit_distance_join(ds, *, id_col: str = "doc_id", str_col: str = "key",
     (<= key-length Arrow kernel sweeps per level, no per-row Python); ONE
     variant-hash exchange groups candidates; within a group, pairs come
     from the exact-size triangle, pruned by |len_a - len_b| <= max_dist,
-    deduped per (a, b), and verified with a memoized banded DP — the only
-    per-pair Python, bounded by the candidate count, not the corpus.
+    deduped per (a, b), and verified with a memoized full-row Levenshtein
+    DP with a row-minimum early exit (``_lev_within``; not banded) — the
+    only per-pair Python, bounded by the candidate count, not the corpus.
     Global (a, b) dedup_first finishes (the same pair can surface under
     several shared variants). Distances are code-point based; byte-based
-    oracles (DuckDB ``levenshtein``) agree on ASCII keys."""
+    oracles (DuckDB ``levenshtein``) agree on ASCII keys.
+
+    Ids must be unique: candidates are deduped per (variant, id), so two
+    rows sharing an id with different keys keep whichever key arrives
+    first and the result depends on input order."""
     from ..index.docid import blake2b_rows
-    from .relational import _triangle_positions, dedup_first, mod_exchange_apply
+    from .relational import _triangle_positions, dedup_first
 
     def variants(batch: pa.Table) -> pa.Table:
         empty = pa.table({"vhash": pa.array([], pa.int64()),
@@ -1627,5 +1591,5 @@ def edit_distance_join(ds, *, id_col: str = "doc_id", str_col: str = "key",
         cand["dist"] = dist
         return cand[cand["dist"] <= max_dist]
 
-    return dedup_first(mod_exchange_apply(pref, "vhash", pairs, n_buckets),
+    return dedup_first(exchange(pref, pairs, mod="vhash", n_buckets=n_buckets),
                        ["a", "b"], ["a", "b"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .relational import keyed_exchange_apply, pre_aggregate
+from .relational import exchange, pre_aggregate
 
 
 def tumbling_window(ds, *, key: str = "event_type", ts_col: str = "ts",
@@ -104,7 +104,7 @@ def sessionize(ds, *, user_col: str = "user_id", ts_col: str = "ts",
         out = new_session.groupby(df[user_col], sort=False).sum()
         return pd.DataFrame({user_col: out.index.to_numpy(), "n_sessions": out.to_numpy()})
 
-    return keyed_exchange_apply(ds, [user_col], per_bucket, n_buckets)
+    return exchange(ds, per_bucket, keys=[user_col], n_buckets=n_buckets)
 
 
 def running_aggregate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -136,11 +136,9 @@ def running_aggregate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             out["delta"] = df[value_col] - g.shift()
         return out
 
-    def local(df: pd.DataFrame) -> pd.DataFrame:
-        return df[[key_col, ts_col, tiebreak_col, value_col]]
-
-    return keyed_exchange_apply(ds, [key_col], per_bucket, n_buckets,
-                                local=local)
+    return exchange(ds, per_bucket, keys=[key_col], n_buckets=n_buckets,
+                    pre=lambda t: t.select([key_col, ts_col, tiebreak_col,
+                                            value_col]))
 
 
 def moving_aggregate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -211,11 +209,9 @@ def moving_aggregate(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         out["moving_avg"] = np.floor(sum_r / cnt * 100 + 0.5) / 100
         return out
 
-    def local(df: pd.DataFrame) -> pd.DataFrame:
-        return df[[key_col, ts_col, tiebreak_col, value_col]]
-
-    return keyed_exchange_apply(ds, [key_col], per_bucket, n_buckets,
-                                local=local)
+    return exchange(ds, per_bucket, keys=[key_col], n_buckets=n_buckets,
+                    pre=lambda t: t.select([key_col, ts_col, tiebreak_col,
+                                            value_col]))
 
 
 def session_funnel(ds, *, user_col: str = "user_id", ts_col: str = "ts",
@@ -278,7 +274,7 @@ def session_funnel_steps(ds, *, user_col: str = "user_id",
                              "n_sessions": sizes.to_numpy(),
                              "n_converted": g.sum().to_numpy()})
 
-    return keyed_exchange_apply(ds, [user_col], per_bucket, n_buckets)
+    return exchange(ds, per_bucket, keys=[user_col], n_buckets=n_buckets)
 
 
 def retention_cohorts(ds, *, user_col: str = "user_id", ts_col: str = "ts",
@@ -318,6 +314,6 @@ def retention_cohorts(ds, *, user_col: str = "user_id", ts_col: str = "ts",
         return (out.groupby(["cohort_week", "offset_weeks"], sort=False)
                 .size().reset_index(name="n_users"))
 
-    part = keyed_exchange_apply(pairs, [user_col], per_bucket, n_buckets)
+    part = exchange(pairs, per_bucket, keys=[user_col], n_buckets=n_buckets)
     return pre_aggregate(part, ["cohort_week", "offset_weeks"],
                          sums={"n_users": "n_users"}, driver_final=True)

@@ -451,7 +451,7 @@ def build_index(
         # the streaming executor's per-operator memory reservations don't
         # throttle the expensive extract (measured: fused lineage 45.5s vs
         # split 16-20s for the same P0 at 8 CPUs / 1M docs)
-        from ..ops.relational import hash_exchange_apply
+        from ..ops.relational import exchange
 
         # extra materialize BEFORE the repartition all-to-all: any
         # all-to-all in the same lineage as the extract map makes the
@@ -475,11 +475,10 @@ def build_index(
         keys = keys.repartition(max(8, _n_cpus() // 2)).materialize()
         # whole-group integrity is load-bearing here (a split bucket would
         # silently keep duplicate docs) -> explicit exchange, not map_groups
-        losers = hash_exchange_apply(keys, "bucket", _find_losers,
-                                     batch_format="pyarrow").materialize()
-        dropped = hash_exchange_apply(losers, "file", make_loser_dropper(str(tmp_docs)),
-                                      batch_format="pyarrow",
-                                      drop_bucket_col=False).to_pandas()
+        losers = exchange(keys, _find_losers, by="bucket",
+                          batch_format="pyarrow").materialize()
+        dropped = exchange(losers, make_loser_dropper(str(tmp_docs)), by="file",
+                           batch_format="pyarrow").to_pandas()
         _save_exec_stats(out, "p0-docstore", keys)
         # persist the loser addresses: P2 excludes them from the hot sample
         losers_dir = out / "losers"
@@ -730,6 +729,7 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         seg_tmp = out / ".segments.tmp"
         if seg_tmp.exists():
             shutil.rmtree(seg_tmp)
+        seg_tmp.mkdir(parents=True)  # no merge task runs if no doc has a token
         # largest bucket first: the biggest merge sets the tail latency, so
         # schedule it before the small ones (the reference's longest-first
         # subprocess scheduling, bin/buildIndexes:175-207, applied to the

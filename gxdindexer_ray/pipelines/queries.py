@@ -278,7 +278,7 @@ ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
 def q11_rank_in_group(sf: str):
     """O1/O3 ordinal ranks within groups (the reference's precomputed
     r_by_* sort ordinals, GxdResultIndexer.java:860-891)."""
-    from ..ops.relational import keyed_exchange_apply
+    from ..ops.relational import exchange
 
     ds = read_table(sf, "orders", columns=["o_orderpriority", "o_orderkey", "o_totalprice"])
 
@@ -296,7 +296,7 @@ def q11_rank_in_group(sf: str):
                             ascending=[True, False, True], kind="mergesort")
         return df.groupby("o_orderpriority", sort=False).head(3)
 
-    return keyed_exchange_apply(ds, ["o_orderpriority"], ranker, 16, local=local)
+    return exchange(ds, ranker, keys=["o_orderpriority"], n_buckets=16, local=local)
 
 
 SQL_Q11 = """
@@ -3682,7 +3682,9 @@ CATALOG: dict[str, tuple] = {
 #   1. ORACLE-BACKED q51+ (full rows+schema+hash gate — the strongest
 #      signal the driver can give), minus _DEFERRED: entries whose kernel
 #      is independently exercised by another in-window or driver-green
-#      query (see each entry's note). That leaves exactly 50 today.
+#      query (see each entry's note). That tier has 57 entries today: its
+#      first 50 (q51-q114 minus _DEFERRED) fill the window, and
+#      q115-q121 spill past it.
 #   2. the deferred oracle-backed entries, then the rows-only (no-oracle)
 #      q51+ entries — a driver row for those adds only "ran at sf0.01",
 #      which the local parametrized gate already proves.

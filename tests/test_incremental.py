@@ -545,12 +545,14 @@ def test_serving_features_across_generations(ray_session, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["reappend_broadcast", "reappend_exchange",
-                                  "filtered_no_match", "compact_all_deleted"])
+                                  "filtered_no_match", "compact_all_deleted",
+                                  "zero_tokens"])
 def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
     """Every lifecycle entry point must handle a step that leaves nothing
     to index: a re-append of pages the index already owns (both exclusion
-    paths), a filtered build whose predicate matches no doc, and a
-    compaction after every doc was tombstoned. The result opens in a
+    paths), a filtered build whose predicate matches no doc, a
+    compaction after every doc was tombstoned, and a build whose pages
+    are all punctuation (N docs, zero postings). The result opens in a
     SearchEngine and answers like the oracle."""
     import pyarrow.compute as pc
 
@@ -560,13 +562,17 @@ def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
                                           compact_index, delete_docs, incremental)
     from gxdindexer_ray.pipelines.build import build_filtered_index
 
-    docs = [(f"https://z.example/{i}", f"yankee{i % 3} xray") for i in range(30)]
+    docs = [(f"https://z.example/{i}",
+             "!!! ... ---" if case == "zero_tokens" else f"yankee{i % 3} xray")
+            for i in range(30)]
     base = tmp_path / "base"
     _mini_corpus(base, docs)
     idx = tmp_path / "idx"
     build_index(base, idx, CFG)
     out, oracle = idx, OracleIndex.build_from_rows([])
-    if case.startswith("reappend"):
+    if case == "zero_tokens":
+        oracle = OracleIndex.build_from_pages(base)
+    elif case.startswith("reappend"):
         mode = case.split("_")[1]
         if mode == "exchange":
             monkeypatch.setattr(incremental, "EXCHANGE_EXCLUSION_THRESHOLD", -1)
@@ -582,7 +588,8 @@ def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
         compact_index(idx, CFG)
         assert not (idx / "compacting.json").exists()
     eng = SearchEngine(out, warm_top_terms=0)
-    assert eng.reader.N == oracle.N == (len(docs) if case.startswith("reappend") else 0)
+    n_live = 0 if case in ("filtered_no_match", "compact_all_deleted") else len(docs)
+    assert eng.reader.N == oracle.N == n_live
     for q in ("yankee1", "xray", "yankee2 xray"):
         for method in ("brute", "bmw"):
             assert eng.topk(q, 10, method) == oracle.topk(q, 10), (q, method)

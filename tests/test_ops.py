@@ -519,26 +519,26 @@ class TestNearDupClusterResolution:
     def test_stable_bucket_ids_value_deterministic(self):
         import pandas as pd
         import numpy as np
-        from gxdindexer_ray.ops.relational import stable_bucket_ids
+        from gxdindexer_ray.ops.relational import bucket_ids
 
         a = pd.DataFrame({"a": [45, 7, 45], "b": [413, 9, 413]})
         b = pd.DataFrame({"a": [45], "b": [413]})
-        ba = stable_bucket_ids(a, ["a", "b"], 64)
-        bb = stable_bucket_ids(b, ["a", "b"], 64)
+        ba = bucket_ids(pa.table(a), ["a", "b"], 64)
+        bb = bucket_ids(pa.table(b), ["a", "b"], 64)
         assert ba[0] == ba[2] == bb[0]
         s1 = pd.DataFrame({"k": ["x\x00y", "zz"]})
         s2 = pd.DataFrame({"k": ["zz"]})
-        assert stable_bucket_ids(s1, ["k"], 32)[1] == stable_bucket_ids(s2, ["k"], 32)[0]
+        assert bucket_ids(pa.table(s1), ["k"], 32)[1] == bucket_ids(pa.table(s2), ["k"], 32)[0]
         # pinned literal bucket ids at n=64: every exchange, sink file and
         # co-partitioned iteration depends on these exact values
         ints = pd.DataFrame({"k": [0, 1, 7, 45, 2 ** 53 + 1, -3]})
-        assert stable_bucket_ids(ints, ["k"], 64).tolist() == [0, 61, 7, 26, 61, 6]
+        assert bucket_ids(pa.table(ints), ["k"], 64).tolist() == [0, 61, 7, 26, 61, 6]
         two = pd.DataFrame({"a": [45, 7, 0], "b": [413, 9, -1]})
-        assert stable_bucket_ids(two, ["a", "b"], 64).tolist() == [35, 40, 36]
+        assert bucket_ids(pa.table(two), ["a", "b"], 64).tolist() == [35, 40, 36]
         strs = pd.DataFrame({"k": ["x", "zz", "", "x\x00y", "héllo"]})
-        assert stable_bucket_ids(strs, ["k"], 64).tolist() == [15, 9, 52, 30, 11]
+        assert bucket_ids(pa.table(strs), ["k"], 64).tolist() == [15, 9, 52, 30, 11]
         mixed = pd.DataFrame({"a": [45, 7], "s": ["x", "zz"]})
-        assert stable_bucket_ids(mixed, ["a", "s"], 64).tolist() == [24, 34]
+        assert bucket_ids(pa.table(mixed), ["a", "s"], 64).tolist() == [24, 34]
         # pinned blake2b token hashes (64-bit, and the two 128-bit halves)
         from gxdindexer_ray.ops.dedup import _token_hash_pairs_flat, _token_hashes_flat
         th = _token_hashes_flat(pa.array(["the", "ray", "the", ""]))
@@ -581,10 +581,10 @@ def test_hash_exchange_apply_group_integrity(ray_session):
     """Regression for the Ray map_groups split-delivery bug: the same key
     scattered across MANY tiny blocks must reach exactly ONE fn call.
     (groupby().map_groups intermittently delivered a key's rows across two
-    calls on this Ray build — reproduced before hash_exchange_apply.)"""
+    calls on this Ray build — reproduced before the explicit exchange.)"""
     import pandas as pd
     import ray.data as rd
-    from gxdindexer_ray.ops.relational import hash_exchange_apply
+    from gxdindexer_ray.ops.relational import exchange
 
     frames = []
     for i in range(60):  # 60 blocks; key 7 appears in every block
@@ -597,8 +597,7 @@ def test_hash_exchange_apply_group_integrity(ray_session):
                              "calls": [1]})
 
     for _ in range(3):
-        out = hash_exchange_apply(ds, "k", per_group, batch_format="pandas",
-                                  drop_bucket_col=False).to_pandas()
+        out = exchange(ds, per_group, by="k", batch_format="pandas").to_pandas()
         per_key = out.groupby("k")[["rows", "calls"]].sum()
         assert int(per_key.loc[7, "calls"]) == 1
         assert int(per_key.loc[7, "rows"]) == 60 + sum(1 for i in range(60) if i % 11 == 7)
@@ -645,7 +644,7 @@ def test_hash_exchange_many_blocks_stress(ray_session):
     rows reach exactly ONE fn call, with nothing lost or duplicated."""
     import pandas as pd
     import ray.data as rd
-    from gxdindexer_ray.ops.relational import keyed_exchange_apply
+    from gxdindexer_ray.ops.relational import exchange
 
     n_blocks, rows_per_block, n_keys = 1024, 4, 257
     frames = []
@@ -662,8 +661,8 @@ def test_hash_exchange_many_blocks_stress(ray_session):
         agg["calls"] = 1
         return agg
 
-    out = keyed_exchange_apply(ds, ["k"], per_bucket, n_buckets=64,
-                               batch_format="pandas").to_pandas()
+    out = exchange(ds, per_bucket, keys=["k"], n_buckets=64,
+                   batch_format="pandas").to_pandas()
     per_key = out.groupby("k")[["count", "sum", "calls"]].sum()
     assert len(per_key) == len(expect)
     assert (per_key["calls"] == 1).all()          # one fn call saw each key
@@ -797,13 +796,13 @@ class TestBroadcastFreePrimitives:
         from gxdindexer_ray.ops.dedup import connected_components_ds
 
         calls = {"n": 0}
-        real = relational.pinned_bucket_tables
+        real = relational.exchange
 
         def counting(*a, **k):
             calls["n"] += 1
             return real(*a, **k)
 
-        monkeypatch.setattr(relational, "pinned_bucket_tables", counting)
+        monkeypatch.setattr(relational, "exchange", counting)
         chain = pd.DataFrame({"a": np.arange(20), "b": np.arange(1, 21)})
         extra = pd.DataFrame({"a": [100, 200], "b": [101, 201]})
         edges = rd.from_pandas(pd.concat([chain, extra], ignore_index=True))
@@ -1561,7 +1560,7 @@ def test_keyed_exchange_null_bigint_keys_bucket_consistently(ray_session):
     SAME key bucketed differently across batches and split its group."""
     import ray.data as rd
 
-    from gxdindexer_ray.ops.relational import keyed_exchange_apply
+    from gxdindexer_ray.ops.relational import exchange
 
     big = 2 ** 53 + 1
     clean = pa.table({"k": pa.array([big] * 4 + [7] * 2, pa.int64()),
@@ -1574,8 +1573,8 @@ def test_keyed_exchange_null_bigint_keys_bucket_consistently(ray_session):
         g = df.groupby("k", dropna=False, sort=False).size()
         return pd.DataFrame({"k": g.index.to_numpy(), "n": g.to_numpy()})
 
-    out = keyed_exchange_apply(ds, ["k"], per_key_count, n_buckets=16,
-                               batch_format="pandas").to_pandas()
+    out = exchange(ds, per_key_count, keys=["k"], n_buckets=16,
+                   batch_format="pandas").to_pandas()
     # each key must appear EXACTLY once with its FULL count (whole group in
     # one bucket). Before the fix the big key split 4/3 across two buckets
     # (null-free batch hashed exact int64, null-bearing batch hashed the
@@ -1584,6 +1583,74 @@ def test_keyed_exchange_null_bigint_keys_bucket_consistently(ray_session):
     # float64, which is the caller's formatting choice, not the exchange's.
     assert len(out) == 3  # big key, key 7, null key — one row each
     assert sorted(out["n"].astype(int)) == [1, 3, 7]
+
+
+def test_exchange_local_null_int_key_one_call_per_key(ray_session, tmp_path):
+    """A pandas ``local`` pre-reduce renders a null-bearing int key
+    float64. Key 1 must still bucket as it does in the null-free block and
+    reach exactly ONE fn call (it used to split across buckets 2 and 61);
+    the partitioned sink must likewise write key 1 to one part file."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gxdindexer_ray.ops.relational import exchange
+    from gxdindexer_ray.ops.sink import write_partitioned
+
+    def mk():
+        return rd.from_arrow([
+            pa.table({"k": pa.array([1, None, 2], pa.int64()),
+                      "v": pa.array([1, 2, 3], pa.int64())}),
+            pa.table({"k": pa.array([1, 3], pa.int64()),
+                      "v": pa.array([4, 5], pa.int64())})])
+
+    def per_key(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("k", dropna=False, sort=False).size()
+        return pd.DataFrame({"k": g.index.to_numpy(dtype=np.float64),
+                             "rows": g.to_numpy(), "calls": 1})
+
+    out = exchange(mk(), per_key, keys=["k"], n_buckets=64,
+                   local=lambda df: df).to_pandas()
+    got = out.groupby("k", dropna=False)[["rows", "calls"]].sum()
+    assert (got["calls"] == 1).all()
+    assert dict(zip(got.index.fillna(-1), got["rows"])) == {
+        1.0: 2, 2.0: 1, 3.0: 1, -1: 1}
+
+    write_partitioned(mk(), tmp_path, key_cols=["k"], n_buckets=64)
+    files_with_1 = [f for f in tmp_path.glob("part-*.parquet")
+                    if 1 in pq.read_table(f)["k"].to_pylist()]
+    assert len(files_with_1) == 1
+
+
+def test_exchange_string_key_arrow_fn_keeps_payload_types(ray_session):
+    """A string key with a pyarrow fn and no ``local`` must not route the
+    batch through pandas: a null-bearing int64 payload keeps its type, and
+    2^53+1 stays exact (it came back as 9007199254740992.0)."""
+    import ray.data as rd
+
+    from gxdindexer_ray.ops.relational import exchange
+
+    big = 2 ** 53 + 1
+    t1 = pa.table({"k": pa.array(["a", "b"]),
+                   "v": pa.array([big, None], pa.int64())})
+    t2 = pa.table({"k": pa.array(["a", "c"]),
+                   "v": pa.array([big + 2, big + 4], pa.int64())})
+
+    def fn(t: pa.Table) -> pa.Table:
+        import uuid
+
+        call = uuid.uuid4().hex  # one id per fn invocation
+        return t.append_column("call", pa.array([call] * t.num_rows))
+
+    out = exchange(rd.from_arrow([t1, t2]), fn, keys=["k"],
+                   batch_format="pyarrow")
+    tbl = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
+    per_key = pa.TableGroupBy(tbl, "k").aggregate([("call", "count_distinct")])
+    assert per_key["call_count_distinct"].to_pylist() == [1, 1, 1]
+    assert tbl.schema.field("v").type == pa.int64()
+    assert tbl.schema.field("k").type == pa.string()
+    assert sorted(zip(tbl["k"].to_pylist(), tbl["v"].to_pylist()),
+                  key=str) == sorted([("a", big), ("b", None), ("a", big + 2),
+                                      ("c", big + 4)], key=str)
 
 
 def test_hash_sample_rate_one_keeps_all(ray_session):
@@ -1798,7 +1865,7 @@ def test_dedup_first_null_payload_in_winning_row(ray_session):
 
 
 def test_dedup_first_string_key_bigint_payload(ray_session):
-    """Review r5: string-key local_arrow path must not route payloads
+    """Review r5: string-key Arrow local path must not route payloads
     through pandas (int64 > 2^53 with nulls would round / flip schema)."""
     import ray.data as rd
 
