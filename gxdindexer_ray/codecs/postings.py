@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
-from .varint import varint_decode, varint_encode, varint_encode_segments
+from .varint import varint_decode, varint_encode_segments
 
 
 @dataclass
@@ -71,7 +72,7 @@ def bm25_tf_factor(tfs: np.ndarray, dls: np.ndarray, avgdl: float, k1: float, b:
     return tf * (k1 + 1.0) / denom
 
 
-def _encode_bulk_core(
+def encode_postings_bulk_arrow(
     docs: np.ndarray,
     tfs: np.ndarray,
     dls: np.ndarray,
@@ -82,9 +83,16 @@ def _encode_bulk_core(
     k1: float,
     b: float,
 ) -> dict:
-    """Shared numpy core of the bulk encoders: gaps, varint streams, block
-    layout, skip offsets, block-max — all whole-array ops, nothing
-    per-segment. Returns the raw buffers + offset arrays."""
+    """Encode MANY posting lists in one vectorized pass.
+
+    ``docs/tfs/dls`` are the concatenation of all segments' postings (docIDs
+    strictly ascending within each segment); ``seg_starts`` marks segment
+    boundaries. Gaps, varint streams, block layout, skip offsets and
+    block-max are whole-array numpy ops; the per-segment payload/skip
+    columns are built as Arrow arrays straight from the shared offset math
+    — zero per-segment Python slicing. Payload columns are zero-copy views
+    over the single varint buffer. Returns a dict of Arrow columns (the
+    segment-row fields)."""
     n_total = docs.size
     docs = np.ascontiguousarray(docs, dtype=np.uint64)
     seg_starts = np.ascontiguousarray(seg_starts, dtype=np.int64)
@@ -127,83 +135,6 @@ def _encode_bulk_core(
     skip_last = docs[block_ends - 1].astype(np.int64)
     cf = np.add.reduceat(np.asarray(tfs, dtype=np.uint64), seg_starts).astype(np.int64)
 
-    return dict(
-        nseg=nseg, nb=nb, nb_off=nb_off, seg_lens=seg_lens,
-        min_doc=docs[seg_starts].astype(np.int64),
-        max_doc=docs[seg_ends - 1].astype(np.int64), cf=cf,
-        d_buf=d_buf, d_boff=d_boff, t_buf=t_buf, t_boff=t_boff,
-        l_buf=l_buf, l_boff=l_boff, skip_last=skip_last, block_max=block_max,
-    )
-
-
-def encode_postings_bulk(
-    docs: np.ndarray,
-    tfs: np.ndarray,
-    dls: np.ndarray,
-    seg_starts: np.ndarray,
-    *,
-    block_size: int,
-    avgdl: float,
-    k1: float,
-    b: float,
-) -> dict[str, list]:
-    """Encode MANY posting lists in one vectorized pass.
-
-    ``docs/tfs/dls`` are the concatenation of all segments' postings (docIDs
-    strictly ascending within each segment); ``seg_starts`` marks segment
-    boundaries. Everything — gap computation, varint encoding, skip tables,
-    block-max — is computed with whole-array numpy ops; the only per-segment
-    work is slicing the shared buffers. Returns a dict of per-segment column
-    lists (same fields as the scalar ``encode_postings`` row)."""
-    c = _encode_bulk_core(docs, tfs, dls, seg_starts,
-                          block_size=block_size, avgdl=avgdl, k1=k1, b=b)
-    nb_off, d_boff, t_boff, l_boff = c["nb_off"], c["d_boff"], c["t_boff"], c["l_boff"]
-    cols: dict[str, list] = {
-        "n_postings": c["seg_lens"].tolist(),
-        "min_doc": c["min_doc"].tolist(),
-        "max_doc": c["max_doc"].tolist(),
-        "df": c["seg_lens"].tolist(),
-        "cf": c["cf"].tolist(),
-        "docs_payload": [], "tfs_payload": [], "dls_payload": [],
-        "skip_last_doc": [], "skip_doc_off": [], "skip_tf_off": [], "skip_dl_off": [],
-        "block_max": [],
-    }
-    for i in range(c["nseg"]):
-        sb, se = int(nb_off[i]), int(nb_off[i + 1])
-        cols["docs_payload"].append(c["d_buf"][d_boff[sb]:d_boff[se]])
-        cols["tfs_payload"].append(c["t_buf"][t_boff[sb]:t_boff[se]])
-        cols["dls_payload"].append(c["l_buf"][l_boff[sb]:l_boff[se]])
-        cols["skip_last_doc"].append(c["skip_last"][sb:se].tolist())
-        cols["skip_doc_off"].append((d_boff[sb:se] - d_boff[sb]).tolist())
-        cols["skip_tf_off"].append((t_boff[sb:se] - t_boff[sb]).tolist())
-        cols["skip_dl_off"].append((l_boff[sb:se] - l_boff[sb]).tolist())
-        cols["block_max"].append(c["block_max"][sb:se].tolist())
-    return cols
-
-
-def encode_postings_bulk_arrow(
-    docs: np.ndarray,
-    tfs: np.ndarray,
-    dls: np.ndarray,
-    seg_starts: np.ndarray,
-    *,
-    block_size: int,
-    avgdl: float,
-    k1: float,
-    b: float,
-) -> dict:
-    """Arrow-native bulk encode: identical VALUES to ``encode_postings_bulk``
-    but the per-segment payload/skip columns are built as Arrow arrays
-    straight from the shared offset math — zero per-segment Python slicing
-    (the merge otherwise creates ~8 Python objects per segment). Payload
-    columns are zero-copy views over the single varint buffer."""
-    import pyarrow as pa
-
-    c = _encode_bulk_core(docs, tfs, dls, seg_starts,
-                          block_size=block_size, avgdl=avgdl, k1=k1, b=b)
-    nseg, nb, nb_off = c["nseg"], c["nb"], c["nb_off"]
-    total_blocks = int(nb_off[-1])
-
     def payload(buf: bytes, boff: np.ndarray) -> pa.Array:
         seg_off = boff[nb_off].astype(np.int64)
         return pa.LargeBinaryArray.from_buffers(
@@ -216,21 +147,21 @@ def encode_postings_bulk_arrow(
                                         pa.array(rel, pa.int64()))
 
     return {
-        "n_postings": pa.array(c["seg_lens"], pa.int64()),
-        "min_doc": pa.array(c["min_doc"], pa.int64()),
-        "max_doc": pa.array(c["max_doc"], pa.int64()),
-        "df": pa.array(c["seg_lens"], pa.int64()),
-        "cf": pa.array(c["cf"], pa.int64()),
-        "docs_payload": payload(c["d_buf"], c["d_boff"]),
-        "tfs_payload": payload(c["t_buf"], c["t_boff"]),
-        "dls_payload": payload(c["l_buf"], c["l_boff"]),
+        "n_postings": pa.array(seg_lens, pa.int64()),
+        "min_doc": pa.array(docs[seg_starts].astype(np.int64), pa.int64()),
+        "max_doc": pa.array(docs[seg_ends - 1].astype(np.int64), pa.int64()),
+        "df": pa.array(seg_lens, pa.int64()),
+        "cf": pa.array(cf, pa.int64()),
+        "docs_payload": payload(d_buf, d_boff),
+        "tfs_payload": payload(t_buf, t_boff),
+        "dls_payload": payload(l_buf, l_boff),
         "skip_last_doc": pa.ListArray.from_arrays(
-            pa.array(nb_off, pa.int32()), pa.array(c["skip_last"], pa.int64())),
-        "skip_doc_off": skiplist(c["d_boff"]),
-        "skip_tf_off": skiplist(c["t_boff"]),
-        "skip_dl_off": skiplist(c["l_boff"]),
+            pa.array(nb_off, pa.int32()), pa.array(skip_last, pa.int64())),
+        "skip_doc_off": skiplist(d_boff),
+        "skip_tf_off": skiplist(t_boff),
+        "skip_dl_off": skiplist(l_boff),
         "block_max": pa.ListArray.from_arrays(
-            pa.array(nb_off, pa.int32()), pa.array(c["block_max"], pa.float32())),
+            pa.array(nb_off, pa.int32()), pa.array(block_max, pa.float32())),
     }
 
 
@@ -250,14 +181,11 @@ def encode_postings(
     docs = np.ascontiguousarray(pl.doc_ids, dtype=np.uint64)
     if n > 1 and not bool(np.all(docs[1:] > docs[:-1])):
         raise ValueError("doc_ids must be strictly ascending")
-    cols = encode_postings_bulk(
+    cols = encode_postings_bulk_arrow(
         docs, pl.tfs, pl.dls, np.array([0], dtype=np.int64),
         block_size=block_size, avgdl=avgdl, k1=k1, b=b,
     )
-    row = {k: v[0] for k, v in cols.items()}
-    row.pop("df")
-    row.pop("cf")
-    return row
+    return {k: v[0].as_py() for k, v in cols.items() if k not in ("df", "cf")}
 
 
 def decode_postings(row: dict, *, block_size: int) -> PostingList:

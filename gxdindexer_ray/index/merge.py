@@ -51,22 +51,9 @@ SEGMENT_SCHEMA = pa.schema(
     ]
 )
 
-MANIFEST_SCHEMA = pa.schema(
-    [
-        pa.field("bucket", pa.int32()),
-        pa.field("n_terms", pa.int64()),
-        pa.field("n_rows", pa.int64()),
-        pa.field("n_postings", pa.int64()),
-        pa.field("bytes_in", pa.int64()),
-        pa.field("bytes_out", pa.int64()),
-        pa.field("path", pa.string()),
-    ]
-)
-
 
 def merge_bucket_files(bucket_files: list[str], segments_dir: str, avgdl: float,
-                       cfg: IndexConfig | None = None, *,
-                       total_postings: int | None = None) -> dict:
+                       cfg: IndexConfig, *, total_postings: int) -> dict:
     """Reducer for the file-based exchange: read one bucket's partial files,
     merge, write its segment(s). Run as one Ray task per bucket
     (``ray.remote(merge_bucket_files)``) — this is the rare drop below the
@@ -76,82 +63,49 @@ def merge_bucket_files(bucket_files: list[str], segments_dir: str, avgdl: float,
     Memory bound: the decoded working set (~24 B/posting + sort
     temporaries) is capped by splitting oversized buckets into term-hash
     SLOTS merged one at a time (cfg.merge_max_postings per slot). The
-    split count derives from the bucket's total n_postings — a pure
-    function of corpus content, never of batching or parallelism — so the
-    segment file set stays deterministic. Compressed payloads are slot-
-    bounded too: partials are written rslot-sorted (spimi.py) and each
-    slot reads only its own row groups via parquet min/max stats, so
-    nothing bucket-sized is ever resident. The split count comes from
-    ``total_postings`` (the SPIMI writers' manifest sums) when the caller
-    has it; otherwise one cheap n_postings column pass derives it."""
-    cfg = cfg or IndexConfig()
+    split count derives from ``total_postings``, the bucket's posting
+    count summed from the SPIMI writers' manifest rows — a pure function
+    of corpus content, never of batching or parallelism — so the segment
+    file set stays deterministic. Compressed payloads are slot-bounded
+    too: partials are written rslot-sorted (spimi.py) and each slot reads
+    only its own row groups via parquet min/max stats, so nothing
+    bucket-sized is ever resident."""
     files = sorted(bucket_files)
-    merger = BucketMerger(segments_dir=segments_dir, avgdl=avgdl, cfg=cfg)
-    if total_postings is None:
-        total_postings = 0
-        for f in files:
-            col = pq.read_table(f, columns=["n_postings"])["n_postings"]
-            total_postings += int(pa.compute.sum(col).as_py() or 0)
     slots = 1
     while slots < 64 and total_postings / slots > cfg.merge_max_postings:
         slots *= 2
     if slots == 1:
         tbl = pa.concat_tables(pq.read_table(f) for f in files)
-        return merger(tbl).to_pylist()[0]
+        return _merge_rows(tbl, segments_dir, avgdl, cfg)
 
     pfs = [pq.ParquetFile(f) for f in files]
-    # Invariant: one bucket's partials are always written by a single code
-    # version in one build phase (_segments_phase rmtree's .partials.tmp
-    # before rewriting), so a bucket never MIXES rslot and pre-rslot files —
-    # the two branches below need not handle a hybrid schema.
-    have_rslot = all("rslot" in pf.schema_arrow.names for pf in pfs)
+    # slot s = {terms : slot_byte & (slots-1) == s} is the contiguous
+    # rslot range [rev_k(s), rev_k(s)+1) << (6-k) — see spimi._REV6
+    k = slots.bit_length() - 1
+    width = 64 >> k
     rows = []
-    if have_rslot:
-        # slot s = {terms : slot_byte & (slots-1) == s} is the contiguous
-        # rslot range [rev_k(s), rev_k(s)+1) << (6-k) — see spimi._REV6
-        k = slots.bit_length() - 1
-        width = 64 >> k
-        for s in range(slots):
-            rev = int(f"{s:0{k}b}"[::-1], 2) if k else 0
-            lo, hi = rev * width, rev * width + width
-            parts = []
-            for pf in pfs:
-                ci = pf.schema_arrow.names.index("rslot")
-                gs = []
-                for g in range(pf.metadata.num_row_groups):
-                    st = pf.metadata.row_group(g).column(ci).statistics
-                    if st is None or st.min is None or (st.min < hi and st.max >= lo):
-                        gs.append(g)
-                if gs:
-                    parts.append(pf.read_row_groups(gs))
-            if not parts:
-                continue
-            sub = pa.concat_tables(parts)
-            rs = sub["rslot"]
-            sub = sub.filter(pa.compute.and_(
-                pa.compute.greater_equal(rs, lo), pa.compute.less(rs, hi)))
-            if sub.num_rows == 0:
-                continue
-            rows.append(merger(sub, file_suffix=f"-{s:02d}").to_pylist()[0])
-    else:
-        # partials from a pre-rslot layout: legacy whole-bucket path
-        import hashlib
-
-        tbl = pa.concat_tables(pf.read() for pf in pfs)
-        terms = tbl["term"].to_pylist()
-        slot_of: dict = {}
-        slot_ids = np.empty(len(terms), np.int8)
-        for i, t in enumerate(terms):
-            s = slot_of.get(t)
-            if s is None:
-                s = hashlib.blake2b(t.encode(), digest_size=2).digest()[0] & (slots - 1)
-                slot_of[t] = s
-            slot_ids[i] = s
-        for s in range(slots):
-            sub = tbl.filter(pa.array(slot_ids == s))
-            if sub.num_rows == 0:
-                continue
-            rows.append(merger(sub, file_suffix=f"-{s:02d}").to_pylist()[0])
+    for s in range(slots):
+        rev = int(f"{s:0{k}b}"[::-1], 2)
+        lo, hi = rev * width, rev * width + width
+        parts = []
+        for pf in pfs:
+            ci = pf.schema_arrow.names.index("rslot")
+            gs = []
+            for g in range(pf.metadata.num_row_groups):
+                st = pf.metadata.row_group(g).column(ci).statistics
+                if st is None or st.min is None or (st.min < hi and st.max >= lo):
+                    gs.append(g)
+            if gs:
+                parts.append(pf.read_row_groups(gs))
+        if not parts:
+            continue
+        sub = pa.concat_tables(parts)
+        rs = sub["rslot"]
+        sub = sub.filter(pa.compute.and_(
+            pa.compute.greater_equal(rs, lo), pa.compute.less(rs, hi)))
+        if sub.num_rows == 0:
+            continue
+        rows.append(_merge_rows(sub, segments_dir, avgdl, cfg, file_suffix=f"-{s:02d}"))
     agg = dict(rows[0])
     agg.update(
         n_terms=sum(r["n_terms"] for r in rows),
@@ -164,142 +118,121 @@ def merge_bucket_files(bucket_files: list[str], segments_dir: str, avgdl: float,
     return agg
 
 
-class BucketMerger:
-    """Merges one bucket's (or one slot's) partial rows into a segment
-    file. Stateless besides config: merge_bucket_files builds one per
-    task and calls it per slot."""
+def _merge_rows(group: pa.Table, segments_dir: str, avgdl: float, cfg: IndexConfig,
+                file_suffix: str = "") -> dict:
+    """Merge one bucket's (or one slot's) partial rows into a segment file
+    and return its manifest row."""
+    bucket = int(group["bucket"][0].as_py())
+    terms = group["term"].to_pylist()
+    shards = group["shard"].to_numpy(zero_copy_only=False).astype(np.int64)
+    n_post = group["n_postings"].to_numpy(zero_copy_only=False).astype(np.int64)
+    d_pay = group["docs_payload"].to_pylist()
+    t_pay = group["tfs_payload"].to_pylist()
+    l_pay = group["dls_payload"].to_pylist()
+    n_rows = len(terms)
+    p_pay = group["pos_payload"].to_pylist()
+    bytes_in = sum(len(d_pay[i]) + len(t_pay[i]) + len(l_pay[i]) for i in range(n_rows))
+    bytes_in += sum(len(p) for p in p_pay if p is not None)
 
-    def __init__(self, segments_dir: str, avgdl: float, cfg: IndexConfig | None = None):
-        self.segments_dir = Path(segments_dir)
-        self.avgdl = float(avgdl)
-        self.cfg = cfg or IndexConfig()
+    # Vectorized bulk decode: 3 varint_decode calls for the WHOLE bucket
+    # (per-partial decode costs ~3 numpy calls x millions of partials).
+    total = int(n_post.sum())
+    gaps_all = varint_decode(b"".join(d_pay), count=total)
+    tfs_all = varint_decode(b"".join(t_pay), count=total)
+    dls_all = varint_decode(b"".join(l_pay), count=total)
+    ends = np.cumsum(n_post)
+    starts = ends - n_post
+    # per-partial doc_ids: global cumsum minus each partial's base offset
+    cs = np.cumsum(gaps_all, dtype=np.uint64)
+    base = np.zeros(n_rows, dtype=np.uint64)
+    base[1:] = cs[ends[:-1] - 1]
+    docs_all = cs - np.repeat(base, n_post)
 
-    def __call__(self, group: pa.Table, file_suffix: str = "") -> pa.Table:
-        cfg = self.cfg
-        bucket = int(group["bucket"][0].as_py())
-        terms = group["term"].to_pylist()
-        shards = group["shard"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n_post = group["n_postings"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d_pay = group["docs_payload"].to_pylist()
-        t_pay = group["tfs_payload"].to_pylist()
-        l_pay = group["dls_payload"].to_pylist()
-        n_rows = len(terms)
-        pos_in = group["pos_payload"].to_pylist() if "pos_payload" in group.column_names else []
-        bytes_in = sum(len(d_pay[i]) + len(t_pay[i]) + len(l_pay[i]) for i in range(n_rows))
-        bytes_in += sum(len(p) for p in pos_in if p is not None)
+    # one global posting-level sort by (term, shard, doc): term codes are
+    # ranks in the sorted unique-term order, so output row order is the
+    # deterministic (term asc, shard asc) regardless of arrival order
+    uniq_terms, codes_row = np.unique(np.asarray(terms, dtype=object), return_inverse=True)
+    codes_post = np.repeat(codes_row, n_post)
+    shards_post = np.repeat(shards, n_post)
+    order = np.lexsort((docs_all, shards_post, codes_post))
+    docs_s = docs_all[order]
+    tfs_s = tfs_all[order]
+    dls_s = dls_all[order]
+    codes_s = codes_post[order]
+    shards_s = shards_post[order]
 
-        # Vectorized bulk decode: 3 varint_decode calls for the WHOLE bucket
-        # (per-partial decode costs ~3 numpy calls x millions of partials).
-        total = int(n_post.sum())
-        gaps_all = varint_decode(b"".join(d_pay), count=total)
-        tfs_all = varint_decode(b"".join(t_pay), count=total)
-        dls_all = varint_decode(b"".join(l_pay), count=total)
-        ends = np.cumsum(n_post)
-        starts = ends - n_post
-        # per-partial doc_ids: global cumsum minus each partial's base offset
-        cs = np.cumsum(gaps_all, dtype=np.uint64)
-        base = np.zeros(n_rows, dtype=np.uint64)
-        base[1:] = cs[ends[:-1] - 1]
-        docs_all = cs - np.repeat(base, n_post)
+    # segment boundaries where (term, shard) changes
+    change = np.empty(total, dtype=bool)
+    change[0] = True
+    change[1:] = (np.diff(codes_s) != 0) | (np.diff(shards_s) != 0)
+    seg_starts = np.flatnonzero(change)
 
-        # one global posting-level sort by (term, shard, doc): term codes are
-        # ranks in the sorted unique-term order, so output row order is the
-        # deterministic (term asc, shard asc) regardless of arrival order
-        uniq_terms, codes_row = np.unique(np.asarray(terms, dtype=object), return_inverse=True)
-        codes_post = np.repeat(codes_row, n_post)
-        shards_post = np.repeat(shards, n_post)
-        order = np.lexsort((docs_all, shards_post, codes_post))
-        docs_s = docs_all[order]
-        tfs_s = tfs_all[order]
-        dls_s = dls_all[order]
-        codes_s = codes_post[order]
-        shards_s = shards_post[order]
+    cols = encode_postings_bulk_arrow(
+        docs_s, tfs_s, dls_s, seg_starts,
+        block_size=cfg.block_size, avgdl=avgdl, k1=cfg.k1, b=cfg.b,
+    )
 
-        # segment boundaries where (term, shard) changes
-        if total == 0:
-            return pa.table({k: pa.array([], f.type) for k, f in zip(MANIFEST_SCHEMA.names, MANIFEST_SCHEMA)},
-                            schema=MANIFEST_SCHEMA)
-        change = np.empty(total, dtype=bool)
-        change[0] = True
-        change[1:] = (np.diff(codes_s) != 0) | (np.diff(shards_s) != 0)
-        seg_starts = np.flatnonzero(change)
+    # --- optional position stream: decode, permute per the posting
+    # order (variable-length gather via repeat arithmetic), re-encode
+    pos_slices = None
+    if p_pay and all(p is not None for p in p_pay):
+        tfs_i = tfs_all.astype(np.int64)
+        total_pos = int(tfs_i.sum())
+        gaps_p = varint_decode(b"".join(p_pay), count=total_pos)
+        value_starts = np.concatenate([[0], np.cumsum(tfs_i)])[:-1]
+        cs_p = np.cumsum(gaps_p, dtype=np.uint64)
+        base_p = np.zeros(total, dtype=np.uint64)
+        nz = value_starts > 0
+        base_p[nz] = cs_p[value_starts[nz] - 1]
+        abs_pos = cs_p - np.repeat(base_p, tfs_i)
+        tf_o = tfs_i[order]
+        out_off = np.concatenate([[0], np.cumsum(tf_o)])
+        rep = np.repeat(value_starts[order], tf_o)
+        within = np.arange(total_pos, dtype=np.int64) - np.repeat(out_off[:-1], tf_o)
+        pos_s = abs_pos[rep + within]
+        gaps_n = pos_s.copy()
+        gaps_n[1:] -= pos_s[:-1]
+        pair_starts_n = out_off[:-1]
+        gaps_n[pair_starts_n] = pos_s[pair_starts_n]
+        pos_seg_starts = out_off[seg_starts]
+        p_buf, p_off = varint_encode_segments(gaps_n, pos_seg_starts)
+        pos_slices = pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), seg_starts.size,
+            [None, pa.py_buffer(np.ascontiguousarray(p_off, dtype=np.int64)),
+             pa.py_buffer(p_buf)])
+    seg_terms = uniq_terms[codes_s[seg_starts]].tolist()
+    seg_shards = shards_s[seg_starts].astype(np.int32)
 
-        cols = encode_postings_bulk_arrow(
-            docs_s, tfs_s, dls_s, seg_starts,
-            block_size=cfg.block_size, avgdl=self.avgdl, k1=cfg.k1, b=cfg.b,
-        )
+    seg = pa.table(
+        {
+            "term": pa.array(seg_terms, pa.string()),
+            "shard": pa.array(seg_shards, pa.int32()),
+            "df": cols["df"],
+            "cf": cols["cf"],
+            "n_postings": cols["n_postings"],
+            "min_doc": cols["min_doc"],
+            "max_doc": cols["max_doc"],
+            "docs_payload": cols["docs_payload"],
+            "tfs_payload": cols["tfs_payload"],
+            "dls_payload": cols["dls_payload"],
+            "skip_last_doc": cols["skip_last_doc"],
+            "skip_doc_off": cols["skip_doc_off"],
+            "skip_tf_off": cols["skip_tf_off"],
+            "skip_dl_off": cols["skip_dl_off"],
+            "block_max": cols["block_max"],
+            "pos_payload": (pos_slices if pos_slices is not None
+                            else pa.array([None] * seg_starts.size,
+                                          pa.large_binary())),
+        },
+        schema=SEGMENT_SCHEMA,
+    )
+    out = Path(segments_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    final = out / f"bucket-{bucket:05d}{file_suffix}.parquet"
+    tmp = out / f".bucket-{bucket:05d}{file_suffix}.parquet.tmp"
+    pq.write_table(seg, tmp, compression="zstd", row_group_size=256)
+    tmp.rename(final)
 
-        # --- optional position stream: decode, permute per the posting
-        # order (variable-length gather via repeat arithmetic), re-encode
-        pos_slices = None
-        p_pay = group["pos_payload"].to_pylist() if "pos_payload" in group.column_names else []
-        if p_pay and all(p is not None for p in p_pay):
-            tfs_i = tfs_all.astype(np.int64)
-            total_pos = int(tfs_i.sum())
-            gaps_p = varint_decode(b"".join(p_pay), count=total_pos)
-            value_starts = np.concatenate([[0], np.cumsum(tfs_i)])[:-1]
-            cs_p = np.cumsum(gaps_p, dtype=np.uint64)
-            base_p = np.zeros(total, dtype=np.uint64)
-            nz = value_starts > 0
-            base_p[nz] = cs_p[value_starts[nz] - 1]
-            abs_pos = cs_p - np.repeat(base_p, tfs_i)
-            tf_o = tfs_i[order]
-            out_off = np.concatenate([[0], np.cumsum(tf_o)])
-            rep = np.repeat(value_starts[order], tf_o)
-            within = np.arange(total_pos, dtype=np.int64) - np.repeat(out_off[:-1], tf_o)
-            pos_s = abs_pos[rep + within]
-            gaps_n = pos_s.copy()
-            gaps_n[1:] -= pos_s[:-1]
-            pair_starts_n = out_off[:-1]
-            gaps_n[pair_starts_n] = pos_s[pair_starts_n]
-            pos_seg_starts = out_off[seg_starts]
-            p_buf, p_off = varint_encode_segments(gaps_n, pos_seg_starts)
-            pos_slices = pa.LargeBinaryArray.from_buffers(
-                pa.large_binary(), seg_starts.size,
-                [None, pa.py_buffer(np.ascontiguousarray(p_off, dtype=np.int64)),
-                 pa.py_buffer(p_buf)])
-        seg_terms = uniq_terms[codes_s[seg_starts]].tolist()
-        seg_shards = shards_s[seg_starts].astype(np.int32)
-        total_postings = total
-
-        seg = pa.table(
-            {
-                "term": pa.array(seg_terms, pa.string()),
-                "shard": pa.array(seg_shards, pa.int32()),
-                "df": cols["df"],
-                "cf": cols["cf"],
-                "n_postings": cols["n_postings"],
-                "min_doc": cols["min_doc"],
-                "max_doc": cols["max_doc"],
-                "docs_payload": cols["docs_payload"],
-                "tfs_payload": cols["tfs_payload"],
-                "dls_payload": cols["dls_payload"],
-                "skip_last_doc": cols["skip_last_doc"],
-                "skip_doc_off": cols["skip_doc_off"],
-                "skip_tf_off": cols["skip_tf_off"],
-                "skip_dl_off": cols["skip_dl_off"],
-                "block_max": cols["block_max"],
-                "pos_payload": (pos_slices if pos_slices is not None
-                                else pa.array([None] * seg_starts.size,
-                                              pa.large_binary())),
-            },
-            schema=SEGMENT_SCHEMA,
-        )
-        self.segments_dir.mkdir(parents=True, exist_ok=True)
-        final = self.segments_dir / f"bucket-{bucket:05d}{file_suffix}.parquet"
-        tmp = self.segments_dir / f".bucket-{bucket:05d}{file_suffix}.parquet.tmp"
-        pq.write_table(seg, tmp, compression="zstd", row_group_size=256)
-        tmp.rename(final)
-
-        return pa.table(
-            {
-                "bucket": pa.array([bucket], pa.int32()),
-                "n_terms": pa.array([len(set(terms))], pa.int64()),
-                "n_rows": pa.array([seg.num_rows], pa.int64()),
-                "n_postings": pa.array([total_postings], pa.int64()),
-                "bytes_in": pa.array([bytes_in], pa.int64()),
-                "bytes_out": pa.array([final.stat().st_size], pa.int64()),
-                "path": pa.array([str(final)], pa.string()),
-            },
-            schema=MANIFEST_SCHEMA,
-        )
+    return {"bucket": bucket, "n_terms": len(set(terms)), "n_rows": seg.num_rows,
+            "n_postings": total, "bytes_in": bytes_in,
+            "bytes_out": final.stat().st_size, "path": str(final)}

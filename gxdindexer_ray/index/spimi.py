@@ -1,7 +1,8 @@
-"""Per-partition SPIMI posting construction as a stateful ``map_batches`` stage.
+"""Per-partition SPIMI posting construction, run inside the build's
+``map_batches`` writer tasks (``make_spimi_writer_fn``).
 
 One batch of (doc_id, text) rows in, one Arrow table of compressed posting
-*partials* out — the partial/combiner before the groupby-bucket shuffle
+*partials* out — the partial/combiner before the per-bucket file exchange
 (SURVEY.md §2.6 A6): postings are gap+varint-compressed per (term[, shard])
 *before* they move, so the all-to-all exchange ships bytes, not exploded
 (term, doc, tf) rows.
@@ -13,8 +14,9 @@ in shard order with globally ascending docIDs — no second merge pass
 (SURVEY.md §7.3). The shuffle key is ``bucket = blake2b(term, shard) %
 n_buckets`` which also spreads one hot term's shards across reducers.
 
-The actor receives the hot-term set once in ``__init__`` (ray.put broadcast
-— the reference's cache-loaded-once pattern, shr/TermAssociationCache.java:1-83).
+Each worker process builds one ``SpimiPartialBuilder``, which receives the
+hot-term set once in ``__init__`` (ray.put broadcast — the reference's
+cache-loaded-once pattern, shr/TermAssociationCache.java:1-83).
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ PARTIAL_SCHEMA = pa.schema(
 _REV6 = np.array([int(f"{i:06b}"[::-1], 2) for i in range(64)], dtype=np.int32)
 
 # partial-file row-group floor (rows). Execution knob only — artifact bytes
-# are row-group-invariant (tested); env override for A/B timing on a box.
-_RG_FLOOR = int(__import__("os").environ.get("GXDRAY_PARTIAL_RG_FLOOR", "4096"))
+# are row-group-invariant.
+_RG_FLOOR = 4096
 
 
 def bucket_of(term: str, shard: int, n_buckets: int) -> int:
@@ -66,24 +68,6 @@ def bucket_of(term: str, shard: int, n_buckets: int) -> int:
 def slot_byte_of(term: str) -> int:
     """The 6-bit term-slot byte (shared definition with index.merge)."""
     return hashlib.blake2b(term.encode(), digest_size=2).digest()[0] & 63
-
-
-def make_spimi_fn(hot_terms_ref, cfg: IndexConfig):
-    """Task-pool variant: a plain function with a worker-process-local
-    builder cache. SPIMI's per-worker state (the hot-term set + bucket
-    cache) is tiny, so stateless TASKS — which scale to every free CPU
-    without actor-pool ramp-up — beat an actor pool here. (Stages with
-    heavy state — extraction models, query readers — stay actor pools.)"""
-    _local: dict = {}
-
-    def spimi_partials(batch: pa.Table) -> pa.Table:
-        b = _local.get("b")
-        if b is None:
-            b = SpimiPartialBuilder(hot_terms_ref=hot_terms_ref, cfg=cfg)
-            _local["b"] = b
-        return b(batch)
-
-    return spimi_partials
 
 
 # one row per partial file spimi_write wrote

@@ -311,8 +311,8 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
     int per closure bucket. Returns a 1-row DataFrame {n_triangles}."""
     import pyarrow as pa
 
-    from .relational import (_triangle_positions, dedup_first, exchange,
-                             partitioned_join)
+    from .relational import (_triangle_positions, arrow_refs, dedup_first,
+                             exchange, partitioned_join)
 
     def canon(t: pa.Table) -> pa.Table:
         a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -412,8 +412,8 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
         return pd.DataFrame({"n": [int(m["cnt"].sum())]})
 
     parts = exchange(
-        [(oriented.to_arrow_refs(), mk_pre(0)),
-         (wedges.to_arrow_refs(), mk_pre(1))], close, keys=["a", "b"],
+        [(arrow_refs(oriented), mk_pre(0)),
+         (arrow_refs(wedges), mk_pre(1))], close, keys=["a", "b"],
         n_buckets=n_buckets)
     total = int(parts.to_pandas()["n"].sum())
     return pd.DataFrame({"n_triangles": [total]})

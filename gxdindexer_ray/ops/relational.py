@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.dataset import MaterializedDataset
 
 from ..index.docid import sorted_member
 
@@ -142,7 +143,7 @@ def detect_hot_keys(ds, col: str, *, threshold: float = 0.01,
         return pa.concat_tables([cand, sent])
 
     pds = ds.map_batches(partial, batch_format="pyarrow")
-    parts = [t for t in _ray.get(pds.to_arrow_refs()) if t.num_rows]
+    parts = [t for t in _ray.get(arrow_refs(pds)) if t.num_rows]
     if not parts:
         return set()
     tbl = pa.concat_tables(parts).combine_chunks()
@@ -224,8 +225,8 @@ def partitioned_join(left, right, left_on: str, right_on: str, *,
     # plans crosses blocks between them), then read each side's Arrow
     # schema from its first block via a tiny remote task instead of two
     # plan-executing .schema() calls.
-    l_refs = left.to_arrow_refs()
-    r_refs = right.to_arrow_refs()
+    l_refs = arrow_refs(left)
+    r_refs = arrow_refs(right)
     sch = ray.remote(_block_schema)
     sch_refs, sch_slots = [], []
     for i, refs in enumerate((l_refs, r_refs)):
@@ -398,8 +399,8 @@ def asof_join(left, right, *, on: str, by: str, direction: str = "backward",
     collide with left names are renamed with ``suffix``."""
     if direction not in ("backward", "forward"):
         raise ValueError(f"unknown direction {direction!r}")
-    l_refs = left.to_arrow_refs()
-    r_refs = right.to_arrow_refs()
+    l_refs = arrow_refs(left)
+    r_refs = arrow_refs(right)
     sch = ray.remote(_block_schema)
     l_schema = ray.get(sch.remote(*l_refs[:4])) if l_refs else left.schema()
     r_schema = ray.get(sch.remote(*r_refs[:4])) if r_refs else right.schema()
@@ -694,6 +695,17 @@ def bucket_ids(tbl: pa.Table, cols: list[str], n_buckets: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def arrow_refs(ds) -> list:
+    """Execute ``ds`` ONCE and return its blocks as Arrow refs. A lazy
+    ``Dataset.to_arrow_refs()`` fetches the schema after executing and,
+    when the plan's schema is unknown (any ``map_batches``), re-runs part
+    of the plan to get it (Ray 2.49: a counting UDF over 3 blocks ran 5
+    times); a materialized dataset reads it from its block metadata."""
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    return ds.to_arrow_refs()
+
+
 def _to_arrow(tbl) -> pa.Table:
     """Block to Arrow. Tolerates pandas blocks: to_arrow_refs can return
     them unconverted despite an upstream arrow-format normalization map."""
@@ -964,7 +976,7 @@ def exchange(src, fn=None, *, by: str | None = None,
     grouping bounds reducer count by data volume instead."""
     if sum(x is not None for x in (by, keys, mod)) != 1:
         raise ValueError("exchange: pass exactly one of by=, keys=, mod=")
-    sides = src if isinstance(src, list) else [(src.to_arrow_refs(), pre)]
+    sides = src if isinstance(src, list) else [(arrow_refs(src), pre)]
     sides = [(refs, _side_pre(p, local, batch_format, keys, mod, n_buckets))
              for refs, p in sides]
     col, drop = (by, None) if by is not None else ("__bucket", "__bucket")
@@ -1117,7 +1129,7 @@ def ranged_id_filter(ds, ids_ds, id_col: str, *, ids_col: str | None = None,
     chunked = ids_sorted.map_batches(
         lambda t: t.select([ids_col]).rename_columns([id_col]),
         batch_format="pyarrow", batch_size=chunk_rows)
-    refs = chunked.to_arrow_refs()
+    refs = arrow_refs(chunked)
     mm = ray.remote(_chunk_minmax)
     got = [x for x in ray.get([mm.remote(r, id_col) for r in refs])]
     pairs = [(refs[i], lo, hi) for i, x in enumerate(got) if x for lo, hi in [x]]
@@ -1202,7 +1214,7 @@ def bloom_build(ids_ds, id_col: str, *, bits: int = 1 << 24,
         raise ValueError(f"bits must be a positive multiple of 8, got {bits}")
     bm = ray.remote(_block_bitmap)
     refs = [bm.remote(r, id_col, bits, n_hashes, seed)
-            for r in ids_ds.to_arrow_refs()]
+            for r in arrow_refs(ids_ds)]
     if not refs:
         return np.zeros(bits >> 3, np.uint8)
     orf = ray.remote(lambda a, b: np.bitwise_or(a, b))

@@ -22,6 +22,8 @@ import pyarrow as pa
 
 import ray
 
+from .relational import arrow_refs
+
 
 def _to_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
@@ -122,7 +124,7 @@ def embedding_near_dup(ds, *, threshold: float, id_col: str = "vec_id",
     operator is the exact oracle-clean baseline)."""
     ds = ds.map_batches(lambda t: t.select([id_col, emb_col]),
                         batch_format="pyarrow", batch_size=block_rows)
-    refs = ds.to_arrow_refs()
+    refs = arrow_refs(ds)
     tile = ray.remote(num_cpus=1)(_block_pair_sims)
     futs = []
     for i in range(len(refs)):
@@ -306,7 +308,7 @@ def build_ivf_index(ds, index_dir, *, n_clusters: int = 16, sample_limit: int = 
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    sample = pa.concat_tables([ray.get(r) for r in ds.limit(sample_limit).to_arrow_refs()])
+    sample = pa.concat_tables([ray.get(r) for r in arrow_refs(ds.limit(sample_limit))])
     centroids = kmeans_fit(_to_matrix(sample[emb_col]), n_clusters)
     cref = ray.put(centroids)
 
@@ -539,7 +541,7 @@ def pq_train(ds, *, m: int = 4, n_codes: int = 16, sample_limit: int = 5000,
     5000 rows) is the only data that touches the driver; size is capped
     regardless of corpus size. Returns (m, n_codes, d/m) float64."""
     sample = pa.concat_tables(
-        [ray.get(r) for r in ds.limit(sample_limit).to_arrow_refs()])
+        [ray.get(r) for r in arrow_refs(ds.limit(sample_limit))])
     x = _normalize(_to_matrix(sample[emb_col]))
     d = x.shape[1]
     if d % m:
@@ -710,7 +712,7 @@ def kmeans_cluster(ds, *, id_col: str = "vec_id", emb_col: str = "embedding",
     (semdedup) can do per-cluster vector work without re-labeling."""
     ds = ds.materialize()
     sample = pa.concat_tables(
-        [ray.get(r) for r in ds.limit(sample_limit).to_arrow_refs()])
+        [ray.get(r) for r in arrow_refs(ds.limit(sample_limit))])
     x0 = _normalize(_to_matrix(sample[emb_col]))
     if len(x0) < k:
         raise ValueError(f"sample ({len(x0)}) smaller than k ({k})")

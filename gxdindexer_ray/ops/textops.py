@@ -17,7 +17,7 @@ import ray
 from ray.data.aggregate import Sum
 
 from ..text.tokenize import doc_term_counts, tokenize_column
-from .relational import exchange
+from .relational import arrow_refs, exchange
 
 
 # ---------------------------------------------------------------------------
@@ -1231,8 +1231,8 @@ def remove_duplicate_spans(ds, *, id_col: str = "doc_id",
     docs_only = ds.map_batches(
         lambda t: t.select([id_col, text_col]), batch_format="pyarrow")
     return exchange(
-        [(dups.to_arrow_refs(), pre_dups),
-         (docs_only.to_arrow_refs(), pre_docs)],
+        [(arrow_refs(dups), pre_dups),
+         (arrow_refs(docs_only), pre_docs)],
         rebuild, keys=[id_col], n_buckets=n_buckets, batch_format="pyarrow")
 
 
@@ -1307,8 +1307,8 @@ def exact_dedup_incremental(new_ds, prior_ds, *, id_col: str = "doc_id",
             "n_copies": pa.array(counts[alive], pa.int64())})
 
     return exchange(
-        [(prior_ds.to_arrow_refs(), pre_prior),
-         (new_ds.to_arrow_refs(), pre_new)],
+        [(arrow_refs(prior_ds), pre_prior),
+         (arrow_refs(new_ds), pre_new)],
         combine, by="__bucket", batch_format="pyarrow")
 
 
@@ -1423,8 +1423,8 @@ def snapshot_diff(old_ds, new_ds, *, key_col: str = "doc_id",
                          "status": pa.array(out_st.tolist(), pa.string())})
 
     return exchange(
-        [(old_ds.to_arrow_refs(), mk_pre(0)),
-         (new_ds.to_arrow_refs(), mk_pre(1))],
+        [(arrow_refs(old_ds), mk_pre(0)),
+         (arrow_refs(new_ds), mk_pre(1))],
         diff, keys=[key_col], n_buckets=n_buckets, batch_format="pyarrow")
 
 

@@ -7,22 +7,24 @@ the reference lacks, see state/manifest.py):
   P0 docstore : read pages -> HTML extract (html dropped immediately) ->
                 docID + doc length -> in-batch pre-dedup -> docstore file
                 written MAP-SIDE per batch (doc_id-sorted) -> only ~50-byte
-                KEY rows (doc_id, warc_ts, text-hash, file, row) cross the
-                dedup shuffle -> per-bucket first-wins winner selection
+                KEY rows (doc_id, warc_ts, text-hash, dl, file, row) cross
+                the dedup shuffle -> per-bucket first-wins winner selection
                 (dedup-rule v2: min (warc_ts, blake2b128(text))) -> the few
                 duplicate LOSER rows are dropped from their files in a
                 sparse per-file rewrite ("ship keys, not payloads": at
                 <1%% duplicates the payload never moves twice)
   P1 stats    : N, avgdl -> stats.json (from P0's key rows, no scan)
-  P2 hotterms : deterministic doc_id hash-sample -> sampled df -> hot set
-                (from pairs P0 sampled while the text was in memory)
+  P2 hotterms : deterministic doc_id hash-sample (doc_id < cut(N)) ->
+                sampled df -> hot set (one scan of the sealed docstore;
+                row-group stats on the doc_id-sorted files prune the rest)
   P3 segments : tokenize + SPIMI partial tasks writing a per-bucket file
                 exchange -> one merge task per bucket -> segment files
                 + per-bucket lineage rows -> segments_manifest.json
 
 P1-P3 and metrics.json are one runner, _derive_index, shared with the
 filtered sub-index build and compaction: those start from a docstore that
-is already on disk, so their P1/P2 are scans of it.
+is already on disk, so their P1 is a scan of it too. P2 is the same scan
+for every entry point, so one docstore always gives one hot set.
 
 Reference parity: this is GxdResultIndexer.index()'s scan->derive->write
 spine (GxdResultIndexer.java:935-1266) with the index build internalized
@@ -135,8 +137,7 @@ _KEYS_SCHEMA = pa.schema(
 )
 
 
-def make_docstore_writer_fn(docs_tmp: str, sample_tmp: str | None = None,
-                            sample_cut: int = 0, exclude_ids_ref=None):
+def make_docstore_writer_fn(docs_tmp: str, exclude_ids_ref=None):
     """Map side of P0: extract + pre-dedup a pages batch, write the batch's
     docstore file (doc_id-sorted, lz4) straight to its FINAL directory, and
     return only ~50-byte key rows for the dedup exchange. Measured rationale
@@ -170,26 +171,6 @@ def make_docstore_writer_fn(docs_tmp: str, sample_tmp: str | None = None,
         pq.write_table(tbl.drop_columns(["th_hi", "th_lo"]).cast(DOCSTORE_SCHEMA),
                        Path(docs_tmp) / fname, compression="lz4", row_group_size=1024)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        if sample_tmp is not None:
-            # hot-term sample pairs computed HERE, while the text is already
-            # in memory — P2 then never re-reads the docstore. The cut is a
-            # pure function of the input metadata row count, and P2 excludes
-            # dedup-loser rows via the persisted loser list, so the sampled
-            # df stays invariant to batching/parallelism.
-            smask = ids < sample_cut
-            if smask.any():
-                sub = tbl.filter(pa.array(smask))
-                vocab, doc_idx, codes, _tf = doc_term_counts(sub["text"])
-                rows_in_file = np.flatnonzero(smask).astype(np.int32)
-                pair_term = vocab.take(pa.array(codes)) if len(vocab) else pa.array([], pa.string())
-                pair_row = rows_in_file[doc_idx] if len(vocab) else np.empty(0, np.int32)
-                n_sub = sub.num_rows
-                pq.write_table(pa.table({
-                    "term": pa.concat_arrays([pair_term.combine_chunks() if isinstance(pair_term, pa.ChunkedArray) else pair_term,
-                                              pa.array(["\x00__doc__"] * n_sub, pa.string())]),
-                    "file": pa.array([fname] * (len(pair_row) + n_sub), pa.string()),
-                    "row": pa.array(np.concatenate([pair_row, rows_in_file]), pa.int32()),
-                }), Path(sample_tmp) / fname, compression="lz4")
         rb = (ids >> (63 - _DEDUP_RANGE_BITS)).astype(np.int32)
         return pa.table({
             "bucket": pa.array(rb, pa.int32()),
@@ -288,34 +269,6 @@ def make_loser_dropper(docs_tmp: str):
                          "dropped_dl": pa.array([int(g["dl"].to_numpy(zero_copy_only=False).sum())], pa.int64())})
 
     return drop
-
-
-def _hot_from_partials(pair_ds, hot_df_ratio: float) -> tuple[list[str], int]:
-    """Final-merge per-block (term, df) partials into the hot-term set,
-    fully vectorized: per-block partial aggregation already ran in the map
-    tasks, so what reaches the driver is one row per (term, block) — the
-    Arrow C++ group-by here replaces the former Python Counter loop over
-    ``to_pylist`` (measured: the Counter merge was the whole phase cost
-    once the scan was fused into P0). The ``\\x00__doc__`` sentinel rows
-    carry per-block sampled-doc counts."""
-    import ray as _ray
-
-    refs = pair_ds.to_arrow_refs()
-    parts = [t for t in _ray.get(refs) if t.num_rows] if refs else []
-    if not parts:
-        return [], 0
-    tbl = pa.concat_tables(parts).combine_chunks()
-    agg = pa.TableGroupBy(tbl, "term").aggregate([("df", "sum")])
-    terms = agg["term"]
-    dfs = agg["df_sum"]
-    doc_mask = pc.equal(terms, "\x00__doc__")
-    sampled_docs = int(pc.sum(pc.filter(dfs, doc_mask)).as_py() or 0)
-    if not sampled_docs:
-        return [], 0
-    hot_mask = pc.and_(pc.invert(doc_mask),
-                       pc.greater(dfs, hot_df_ratio * sampled_docs))
-    hot = sorted(pc.filter(terms, hot_mask).to_pylist())
-    return hot, sampled_docs
 
 
 _REQUIRED_INPUT = {
@@ -421,17 +374,12 @@ def build_index(
         # rewritten. On re-crawls whose storage is already
         # url-range-partitioned, the dedup stays entirely map-side.
         tmp_docs = out / ".docs.tmp"
-        tmp_sample = out / ".hotsample.tmp"
-        for d in (tmp_docs, tmp_sample):
-            if d.exists():
-                shutil.rmtree(d)
-            d.mkdir(parents=True)
-        # hot-sample cut from input METADATA row counts (pre-dedup N is
-        # within dup-rate of post-dedup N — a sampling knob, not semantics)
+        if tmp_docs.exists():
+            shutil.rmtree(tmp_docs)
+        tmp_docs.mkdir(parents=True)
         import pyarrow.parquet as _pq
 
         n0 = sum(_pq.ParquetFile(f).metadata.num_rows for f in input_files)
-        sample_cut = _sample_cut(n0, cfg)
         # one block per extract batch + batch_size=None -> Ray FUSES the
         # read into the map task, so the wide html column goes straight
         # from the parquet reader into extract without an object-store
@@ -439,8 +387,7 @@ def build_index(
         n_blocks = max(1, -(-n0 // cfg.batch_size))
         ds = rd.read_parquet(input_files, columns=["url", "warc_ts", "html", "lang"],
                              override_num_blocks=n_blocks)
-        keys = ds.map_batches(make_docstore_writer_fn(str(tmp_docs), str(tmp_sample),
-                                                      sample_cut, exclude_ids_ref),
+        keys = ds.map_batches(make_docstore_writer_fn(str(tmp_docs), exclude_ids_ref),
                               batch_format="pyarrow", batch_size=None)
         # coalesce key blocks before the exchange: keys are ~50 B/doc, so
         # one block per extract batch would make the sort all per-block
@@ -475,23 +422,10 @@ def build_index(
         keys = keys.repartition(max(8, _n_cpus() // 2)).materialize()
         # whole-group integrity is load-bearing here (a split bucket would
         # silently keep duplicate docs) -> explicit exchange, not map_groups
-        losers = exchange(keys, _find_losers, by="bucket",
-                          batch_format="pyarrow").materialize()
+        losers = exchange(keys, _find_losers, by="bucket", batch_format="pyarrow")
         dropped = exchange(losers, make_loser_dropper(str(tmp_docs)), by="file",
                            batch_format="pyarrow").to_pandas()
         _save_exec_stats(out, "p0-docstore", keys)
-        # persist the loser addresses: P2 excludes them from the hot sample
-        losers_dir = out / "losers"
-        if losers_dir.exists():
-            shutil.rmtree(losers_dir)
-        if losers.count() > 0:
-            losers.write_parquet(str(losers_dir))
-        else:
-            losers_dir.mkdir(parents=True)
-        sample_dir = out / "hotsample"
-        if sample_dir.exists():
-            shutil.rmtree(sample_dir)
-        tmp_sample.rename(sample_dir)
         if docs_dir.exists():
             shutil.rmtree(docs_dir)
         tmp_docs.rename(docs_dir)
@@ -501,7 +435,6 @@ def build_index(
         # prior sentinel rows carry dl=0, so only the count needs adjusting
         p0.seal(files=len(list(docs_dir.glob("*.parquet"))),
                 dup_losers_dropped=n_losers,
-                sample_cut=sample_cut,
                 n_prior_keys=n_prior,
                 n_docs=int(keys.count()) - n_prior - n_losers,
                 total_dl=int(keys.sum("dl") or 0) - losers_dl)
@@ -518,10 +451,11 @@ def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
     through build_index): P1 corpus stats -> P2 hot terms -> P3 segments ->
     metrics.json. Each phase seals its manifest under ``key`` and is
     skipped on a resume with the same key. ``from_p0`` is the sealed P0
-    manifest of a build from pages: its key-row counts give the stats with
-    no scan, and the pairs P0 sampled give the hot terms with no docstore
-    re-read. Without it (a filtered subset, a compaction's union) both are
-    scans of ``doc_files`` — the files on disk are the only truth."""
+    manifest of a build from pages: its key-row counts (n_docs, total_dl)
+    give the stats with no scan. Without it (a filtered subset, a
+    compaction's union) the stats are a scan of the ``dl`` column. The hot
+    terms are one scan of ``doc_files`` under the sample cut for every
+    entry point — the files on disk are the only truth."""
     import shutil
 
     phases = metrics["phases"]
@@ -571,13 +505,12 @@ def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
         phases.update(hotterms=0.0, segments=0.0)
     else:
         # ------------ P2: hot-term detection --------------------------
-        # Deterministic hash-sample: doc_id < cut. Partition-invariant, so
-        # the hot set (and therefore segment bytes) never depends on
-        # parallelism.
+        # Deterministic hash-sample: doc_id < cut(N). A pure function of
+        # the docstore, so the hot set (and therefore segment bytes) never
+        # depends on parallelism or on which entry point wrote the docstore.
         t0 = time.perf_counter()
         if not (resume and p2.is_complete()):
-            hot, sampled_docs = (_hot_from_p0_sample(out, cfg) if from_p0 is not None
-                                 else _hot_from_scan(doc_files, stats["N"], cfg))
+            hot, sampled_docs = _hot_terms(doc_files, stats["N"], cfg)
             atomic_write_json(hot_path, {"hot_terms": hot, "sampled_docs": sampled_docs})
             p2.seal(n_hot=len(hot), sampled_docs=sampled_docs)
         hot_terms = read_json(hot_path)["hot_terms"]
@@ -612,52 +545,14 @@ def _sample_cut(n_docs: int, cfg: IndexConfig) -> int:
     return min(int((1 << 63) * frac), (1 << 63) - 1)
 
 
-def _hot_from_p0_sample(out: Path, cfg: IndexConfig) -> tuple[list[str], int]:
-    """Hot terms from the (term, file, row) pairs P0 emitted into
-    ``hotsample/`` while the text was in memory, minus the pairs of the
-    dedup-loser rows listed in ``losers/``, so the sample covers winners
-    only."""
-    import pyarrow.parquet as pq
+def _hot_terms(doc_files: list[str], n_docs: int, cfg: IndexConfig) -> tuple[list[str], int]:
+    """P2 for every entry point: the df of each term over the docstore rows
+    under the sample cut, from one scan of the sealed docstore (row-group
+    stats on the doc_id-sorted files prune the rest). Per-block (term, df)
+    partials merge in the calling process in one Arrow group-by; the
+    ``\x00__doc__`` sentinel rows carry per-block sampled-doc counts."""
+    from ..ops.relational import arrow_refs
 
-    sample_files = sorted(str(p) for p in (out / "hotsample").glob("*.parquet"))
-    if not sample_files:
-        return [], 0
-    loser_keys: set[tuple[str, int]] = set()
-    for f in (out / "losers").glob("*.parquet"):
-        lt = pq.read_table(f, columns=["file", "row"])
-        loser_keys.update(zip(lt["file"].to_pylist(), lt["row"].to_pylist()))
-    loser_files = sorted({f for f, _ in loser_keys})
-
-    def _pair_df(batch: pa.Table) -> pa.Table:
-        if loser_files:
-            # file-level prefilter (losers touch few files), then a
-            # row-level check on only the matching rows
-            fmask = pc.is_in(batch["file"], value_set=pa.array(loser_files))
-            hit = np.flatnonzero(pc.fill_null(fmask, False).to_numpy(zero_copy_only=False))
-            if hit.size:
-                files = batch["file"].take(pa.array(hit)).to_pylist()
-                rows = batch["row"].take(pa.array(hit)).to_pylist()
-                drop = hit[[(f, r) in loser_keys for f, r in zip(files, rows)]]
-                if drop.size:
-                    keep = np.ones(batch.num_rows, bool)
-                    keep[drop] = False
-                    batch = batch.filter(pa.array(keep))
-        vc = pc.value_counts(batch["term"].combine_chunks())
-        return pa.table({"term": vc.field("values"),
-                         "df": vc.field("counts").cast(pa.int64())})
-
-    # coalesce the pair files into a few big blocks first: the driver
-    # merges one vocab-sized partial per BLOCK, so block count — not file
-    # count — sets the merge cost
-    sample = rd.read_parquet(sample_files).repartition(max(8, _n_cpus()))
-    return _hot_from_partials(sample.map_batches(_pair_df, batch_format="pyarrow",
-                                                 batch_size=None),
-                              cfg.hot_df_ratio)
-
-
-def _hot_from_scan(doc_files: list[str], n_docs: int, cfg: IndexConfig) -> tuple[list[str], int]:
-    """Hot terms from one scan of the docstore rows under the sample cut
-    (row-group stats on the doc_id-sorted files prune the rest)."""
     sample = rd.read_parquet(doc_files, columns=["doc_id", "text"],
                              filter=pc.field("doc_id") < _sample_cut(n_docs, cfg))
 
@@ -670,9 +565,22 @@ def _hot_from_scan(doc_files: list[str], n_docs: int, cfg: IndexConfig) -> tuple
                          "df": pa.array([batch.num_rows], pa.int64())})
         return pa.concat_tables([tbl, meta])
 
-    return _hot_from_partials(sample.map_batches(_sample_df, batch_format="pyarrow",
-                                                 batch_size=1024),
-                              cfg.hot_df_ratio)
+    refs = arrow_refs(sample.map_batches(_sample_df, batch_format="pyarrow",
+                                         batch_size=1024))
+    parts = [t for t in ray.get(refs) if t.num_rows]
+    if not parts:
+        return [], 0
+    tbl = pa.concat_tables(parts).combine_chunks()
+    agg = pa.TableGroupBy(tbl, "term").aggregate([("df", "sum")])
+    terms = agg["term"]
+    dfs = agg["df_sum"]
+    doc_mask = pc.equal(terms, "\x00__doc__")
+    sampled_docs = int(pc.sum(pc.filter(dfs, doc_mask)).as_py() or 0)
+    if not sampled_docs:
+        return [], 0
+    hot_mask = pc.and_(pc.invert(doc_mask),
+                       pc.greater(dfs, cfg.hot_df_ratio * sampled_docs))
+    return sorted(pc.filter(terms, hot_mask).to_pylist()), sampled_docs
 
 
 def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: list[str],
@@ -749,7 +657,7 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         merge_task = ray.remote(num_cpus=merge_cpus)(merge_bucket_files)
         futs = [
             merge_task.remote(by_bucket[bk], str(seg_tmp), stats["avgdl"], cfg,
-                              total_postings=bucket_postings[bk] or None)
+                              total_postings=bucket_postings[bk])
             for bk in sorted(by_bucket, key=lambda b: -bucket_bytes[b])
         ]
         rows = ray.get(futs)

@@ -36,6 +36,47 @@ def test_segments_invariant_to_batching(ray_session, pages_1k, tmp_path):
     assert read_json(a / "stats.json") == read_json(b / "stats.json")
 
 
+def test_one_hot_sample_rule_for_every_entry_point(ray_session, pages_1k, tmp_path):
+    """P2 samples the sealed docstore under the cut of the post-dedup N,
+    whichever entry point wrote it. A corpus in which every page has a
+    later-crawled copy, built from pages, rebuilt through a match-all
+    filter, and compacted, gives one hot set, one sampled-doc count and
+    byte-identical segments. (When the build cut its sample from the
+    pre-dedup row count, it sampled about half the docs the filtered
+    build did.)"""
+    from datetime import timedelta
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from gxdindexer_ray.pipelines import build_index, compact_index
+    from gxdindexer_ray.pipelines.build import build_filtered_index
+
+    pages = pq.read_table(pages_1k)
+    later = pages.set_column(
+        pages.schema.get_field_index("warc_ts"), "warc_ts",
+        pc.add(pages["warc_ts"], pa.scalar(timedelta(days=30), pa.duration("us")))
+    ).cast(pages.schema)
+    (tmp_path / "pages").mkdir()
+    pq.write_table(pa.concat_tables([pages, later]), tmp_path / "pages" / "part-0.parquet")
+    cfg = replace(CFG, hot_sample_target=300)
+
+    built, filtered, compacted = tmp_path / "b", tmp_path / "f", tmp_path / "c"
+    build_index(tmp_path / "pages", built, cfg)
+    build_filtered_index(built, filtered, pc.field("dl") >= 0, cfg, predicate_tag="all")
+    shutil.copytree(built, compacted)
+    compact_index(compacted, cfg)
+
+    hot = read_json(built / "hot_terms.json")
+    n = read_json(built / "stats.json")["N"]
+    assert hot["hot_terms"] and 0 < hot["sampled_docs"] < n
+    for other in (filtered, compacted):
+        assert read_json(other / "stats.json")["N"] == n
+        assert read_json(other / "hot_terms.json") == hot
+        assert _segment_bytes(other) == _segment_bytes(built)
+
+
 def test_resume_skips_completed_phases(ray_session, pages_1k, tmp_path):
     from gxdindexer_ray.pipelines import build_index
 

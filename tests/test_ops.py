@@ -603,6 +603,34 @@ def test_hash_exchange_apply_group_integrity(ray_session):
         assert int(per_key.loc[7, "rows"]) == 60 + sum(1 for i in range(60) if i % 11 == 7)
 
 
+def test_exchange_runs_upstream_udf_once_per_block(ray_session, tmp_path):
+    """exchange() executes a lazy Dataset source exactly once: a UDF
+    upstream of it runs once per block. (A lazy ``to_arrow_refs()`` re-ran
+    part of the plan afterwards to fetch the unknown schema, so the UDF
+    ran more often than there are blocks.)"""
+    import uuid
+
+    import pyarrow.compute as pc
+    import ray.data as rd
+    from gxdindexer_ray.ops.relational import exchange
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def double(t: pa.Table) -> pa.Table:
+        (calls / uuid.uuid4().hex).touch()  # one file per call, any process
+        return t.append_column("v2", pc.multiply(t["v"], 2))
+
+    blocks = [pa.table({"k": np.arange(10 * i, 10 * i + 10, dtype=np.int64),
+                        "v": np.arange(10, dtype=np.int64)}) for i in range(3)]
+    ds = rd.from_arrow(blocks).map_batches(double, batch_format="pyarrow",
+                                           batch_size=None)
+    out = exchange(ds, lambda g: g, keys=["k"], batch_format="pyarrow").to_pandas()
+    assert sorted(out["k"]) == list(range(30))
+    assert (out["v2"] == 2 * out["v"]).all()
+    assert len(list(calls.iterdir())) == len(blocks)
+
+
 def test_embedding_lsh_near_dup_recall_and_precision(ray_session):
     """Hyperplane-LSH near-dup vs the exact tile join on constructed
     high-cosine near-dups: output must be a SUBSET of the exact pairs
