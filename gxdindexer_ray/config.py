@@ -46,9 +46,6 @@ class IndexConfig:
     store_positions: bool = False  # adds a per-posting position-gap stream
                                    # (~cf varints per segment); artifact-affecting
 
-    # --- dedup ---
-    dedup_buckets: int = 512       # url-hash buckets for exact first-wins dedup
-
     # --- merge memory bound (artifact-affecting: sets the segment file
     # split; derived ONLY from content-invariant posting counts) ---
     merge_max_postings: int = 32_000_000   # decoded postings per merge slot
@@ -66,11 +63,6 @@ class IndexConfig:
                                    # files and ~15% less map CPU — with LOWER per-worker
                                    # peak heap, 436 vs 668 MB max, since the builder's
                                    # temporaries amortize over more docs)
-    extract_concurrency: int | None = None   # None -> stateless tasks sized by Ray
-    min_rows_per_file: int = 100_000
-
-    def shard_of(self, doc_id: int) -> int:
-        return doc_id >> (63 - self.shard_bits)
 
 
 DEFAULT_CONFIG = IndexConfig()

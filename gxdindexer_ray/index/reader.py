@@ -13,6 +13,11 @@ the reference delegated to Solr, reference Indexer.java:55-91):
   for the row groups containing the query terms (segments are written with
   row_group_size=256 — index/merge.py — keeping the read unit small);
   decoded rows are LRU-cached.
+- **One snapshot per reader**: the lexicon is built from one
+  ``index.layout.IndexState``, and its corpus stats, tombstone masks and
+  the docstore files the serving paths read all come from that state, so
+  deletes and appends after the open stay invisible to it. Compaction
+  rewrites files in place and is the snapshot's one gap (reopen after it).
 """
 
 from __future__ import annotations
@@ -22,107 +27,16 @@ from pathlib import Path
 
 import pyarrow.parquet as pq
 
-from ..state.manifest import read_json
-
-_PAYLOAD_COLUMNS = [
-    "term", "shard", "df", "cf", "n_postings", "min_doc", "max_doc",
-    "docs_payload", "tfs_payload", "dls_payload", "pos_payload",
-    "skip_last_doc", "skip_doc_off", "skip_tf_off", "skip_dl_off", "block_max",
-]
+from .layout import IndexState, as_state
 
 
-def generation_dirs(index_dir: str | Path) -> list[Path]:
-    """Delta-generation subdirectories of an incrementally-appended index,
-    in append order (empty for a plain single-build index)."""
-    index_dir = Path(index_dir)
-    gens = read_json(index_dir / "generations.json") or {}
-    return [index_dir / g for g in gens.get("generations", [])]
-
-
-def check_not_compacting(index_dir: str | Path) -> None:
-    """Refuse reads while a compaction is mid-flight: between the
-    generation-dir deletes and the new segment seal, the on-disk layout is
-    readable but silently WRONG (stale base-only segments over a union
-    docstore). ``compact_index`` writes ``compacting.json`` first and
-    removes it last; a crash leaves it behind until compact is re-run."""
-    marker = Path(index_dir) / "compacting.json"
-    if marker.exists():
-        raise RuntimeError(
-            f"{index_dir} has an in-progress (or crashed) compaction "
-            f"({marker}); re-run compact_index to converge before reading")
-
-
-def load_tombstones(index_dir: str | Path):
-    """(doc_id, upto_gen) tombstone arrays from ``tombstones/*.parquet``
-    (sorted by doc_id), or None when no deletes are pending. An occurrence
-    of ``doc_id`` in generation g (base = 0, gen-0001 = 1, ...) is dead
-    iff some tombstone has ``upto_gen >= g`` — so a doc deleted and later
-    re-appended stays visible through its NEW generation only."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    tdir = Path(index_dir) / "tombstones"
-    if not tdir.exists():
-        return None
-    files = sorted(tdir.glob("*.parquet"))
-    if not files:
-        return None
-    ids = []
-    upto = []
-    for f in files:
-        t = pq.read_table(f, columns=["doc_id", "upto_gen"])
-        ids.append(t["doc_id"].to_numpy(zero_copy_only=False))
-        upto.append(t["upto_gen"].to_numpy(zero_copy_only=False))
-    ids = np.concatenate(ids).astype(np.int64)
-    upto = np.concatenate(upto).astype(np.int64)
-    # keep the WIDEST tombstone per doc (max upto_gen)
-    order = np.lexsort((-upto, ids))
-    ids = ids[order]
-    upto = upto[order]
-    first = np.r_[True, ids[1:] != ids[:-1]]
-    return ids[first], upto[first]
-
-
-def dead_ids_for_gen(tombs, gen: int):
-    """Sorted dead doc_ids applicable to generation ``gen`` (see
-    load_tombstones), or None."""
-    if tombs is None:
-        return None
-    ids, upto = tombs
-    out = ids[upto >= gen]
-    return out if out.size else None
-
-
-def read_global_stats(index_dir: str | Path) -> dict:
-    """Corpus stats across the base index and every appended generation:
-    N and total_dl sum; avgdl recomputed from the sums; the scoring
-    constants (k1, b, block_size) come from the base and are validated
-    equal in every generation at append time."""
-    index_dir = Path(index_dir)
-    check_not_compacting(index_dir)
-    stats = read_json(index_dir / "stats.json")
-    if not stats:
-        raise FileNotFoundError(f"no stats.json under {index_dir}")
-    gens = generation_dirs(index_dir)
-    if not gens:
-        return stats
-    N = int(stats["N"])
-    total_dl = int(stats.get("total_dl", round(stats["avgdl"] * N)))
-    for g in gens:
-        gs = read_json(g / "stats.json") or {}
-        N += int(gs.get("N", 0))
-        total_dl += int(gs.get("total_dl", 0))
-    out = dict(stats)
-    out.update(N=N, total_dl=total_dl, avgdl=(total_dl / N) if N else 0.0)
-    return out
-
-
-def build_lexicon(index_dir: str | Path) -> dict:
+def build_lexicon(index: str | Path | IndexState) -> dict:
     """Load the lexicon state once: term -> [(file_idx, row_group,
-    row_in_group, df, cf, shard)] plus the file list. Picklable, so a
-    query actor pool can build it ONCE on the driver and broadcast it via
+    row_in_group, df, cf, shard)] plus the file list and the index
+    snapshot it was read from (an index dir is opened here). Picklable, so
+    a query actor pool can build it ONCE on the driver and broadcast it via
     ``ray.put`` instead of paying the load per actor (the per-actor load
-    was the pool's QPS bound).
+    was the pool's QPS bound); the actors' stats then match their lexicon.
 
     Multi-generation indexes contribute every generation's segment files.
     Each file carries a ``bm_scale`` factor = max(1, global_avgdl /
@@ -131,27 +45,20 @@ def build_lexicon(index_dir: str | Path) -> dict:
     (tf+K_old)/(tf+K_new) <= K_old/K_new <= avgdl_new/avgdl_old, so
     scaling by that ratio keeps every bound a true upper bound under the
     GLOBAL avgdl — block-max WAND stays exact after appends."""
-    index_dir = Path(index_dir)
-    gstats = read_global_stats(index_dir)
-    tombs = load_tombstones(index_dir)
-    files: list[Path] = []
+    state = as_state(index)
+    files: list[str] = []
     bm_scale: list[float] = []
     dead_by_file: list = []
-    for gen, d in enumerate([index_dir] + generation_dirs(index_dir)):
-        ds = read_json(d / "stats.json") or {}
-        davg = float(ds.get("avgdl", 0.0))
-        scale = max(1.0, gstats["avgdl"] / davg) if davg > 0 else 1.0
-        dead = dead_ids_for_gen(tombs, gen)
-        for f in sorted((d / "segments").glob("*.parquet")):
+    for g in state.generations:
+        davg = float(g.stats["avgdl"])
+        scale = max(1.0, state.stats["avgdl"] / davg) if davg > 0 else 1.0
+        for f in g.segments:
             files.append(f)
             bm_scale.append(scale)
-            dead_by_file.append(dead)
+            dead_by_file.append(g.dead if g.dead.size else None)
     lex: dict[str, list[tuple[int, int, int, int, int, int]]] = {}
-    payload_cols = []
     for fi, f in enumerate(files):
         pf = pq.ParquetFile(f)
-        payload_cols.append([c for c in _PAYLOAD_COLUMNS
-                             if c in set(pf.schema_arrow.names)])
         meta = pf.read(columns=["term", "shard", "df", "cf"])
         terms = meta["term"].to_pylist()
         shards = meta["shard"].to_pylist()
@@ -166,32 +73,30 @@ def build_lexicon(index_dir: str | Path) -> dict:
                 in_g = 0
             lex.setdefault(terms[i], []).append((fi, g, in_g, dfs[i], cfs[i], shards[i]))
             in_g += 1
-    return {"files": [str(f) for f in files], "payload_cols": payload_cols,
-            "lex": lex, "bm_scale": bm_scale, "dead_by_file": dead_by_file}
+    return {"state": state, "files": files, "lex": lex, "bm_scale": bm_scale,
+            "dead_by_file": dead_by_file}
 
 
 class IndexReader:
     def __init__(self, index_dir: str | Path, cache_terms: int = 4096,
                  warm_top_terms: int = 64, lexicon: dict | None = None):
         self.index_dir = Path(index_dir)
-        stats = read_global_stats(self.index_dir)
+        # ---- lexicon: term -> [(file_idx, row_group, row_in_group, df, cf, shard)]
+        # (prebuilt + broadcast when given — the actor-pool path); it
+        # carries the index snapshot every other read of this reader uses
+        lex = lexicon if lexicon is not None else build_lexicon(self.index_dir)
+        self.state: IndexState = lex["state"]
+        stats = self.state.stats
         self.N = int(stats["N"])
         self.avgdl = float(stats["avgdl"])
         self.k1 = float(stats["k1"])
         self.b = float(stats["b"])
         self.block_size = int(stats["block_size"])
-
-        # ---- lexicon: term -> [(file_idx, row_group, row_in_group, df, cf, shard)]
-        # (prebuilt + broadcast when given — the actor-pool path)
-        state = lexicon if lexicon is not None else build_lexicon(self.index_dir)
-        self._files = [Path(f) for f in state["files"]]
+        self._files = [Path(f) for f in lex["files"]]
         self._pf = [pq.ParquetFile(f) for f in self._files]
-        # tolerate segments written before optional columns existed —
-        # per FILE, so mixed-generation segment directories read correctly
-        self._payload_columns_by_file = state["payload_cols"]
-        self._bm_scale = state.get("bm_scale") or [1.0] * len(self._files)
-        self._dead_by_file = state.get("dead_by_file") or [None] * len(self._files)
-        self._lex = state["lex"]
+        self._bm_scale = lex["bm_scale"]
+        self._dead_by_file = lex["dead_by_file"]
+        self._lex = lex["lex"]
         self._cache: OrderedDict[str, list[dict]] = OrderedDict()
         self._cache_terms = cache_terms
         from concurrent.futures import ThreadPoolExecutor
@@ -227,7 +132,7 @@ class IndexReader:
             # groups concurrently (a query fans out over files/row groups)
             def read_one(key):
                 fi, g = key
-                return key, self._pf[fi].read_row_group(g, columns=self._payload_columns_by_file[fi])
+                return key, self._pf[fi].read_row_group(g)
 
             if len(wanted) > 1:
                 results = dict(self._io_pool.map(read_one, list(wanted)))

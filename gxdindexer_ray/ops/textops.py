@@ -559,7 +559,7 @@ def unigram_logprob_score(ds, *, id_col: str = "doc_id",
     # second keyed exchange instead of a Dataset groupby-aggregate: the
     # int-key zero-copy bucket path + bincount reducer measured 14x
     # faster than the sort-based native Aggregate on ~10M partial rows
-    # (46.3s -> 3.3s at 200k 60-token docs, scripts/probe_r5c.py)
+    # (46.3s -> 3.3s at 200k 60-token docs, scripts/probe_r5c.py at commit 553a96e)
     per_doc = exchange(partials, sum_bucket, keys=[id_col],
                        n_buckets=n_buckets, batch_format="pyarrow")
     if total_tokens is None:

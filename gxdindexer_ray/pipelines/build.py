@@ -45,6 +45,7 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, IndexConfig
 from ..index.docid import doc_id_column, sorted_member
+from ..index.layout import open_index
 from ..index.merge import merge_bucket_files
 from ..index.spimi import make_spimi_writer_fn
 from ..state.manifest import PhaseManifest, atomic_write_json, config_key, fingerprint_inputs, read_json
@@ -62,11 +63,12 @@ DOCSTORE_SCHEMA = pa.schema(
     ]
 )
 
-_DEDUP_RANGE_BITS = 6  # 64 doc-range dedup buckets -> one docstore file per
-                       # doc_id range (file + row-group stats prune lookups).
-                       # Scale note: bucket bytes ~= slim_corpus/2^bits; raise
-                       # the bits with corpus size so one reducer's bucket
-                       # stays in worker memory (64 suits the 1-16M-doc tier).
+_DEDUP_RANGE_BITS = 6  # 64 doc-range buckets for the dedup key exchange.
+                       # Docstore files are one per extract batch (each
+                       # doc_id-sorted, so row-group stats prune lookups),
+                       # not one per range. Scale note: bucket bytes ~=
+                       # key_rows/2^bits; raise the bits with corpus size so
+                       # one reducer's bucket stays in worker memory.
 
 
 _KEY_SORT = ["doc_id", "warc_ts", "th_hi", "th_lo"]
@@ -696,15 +698,19 @@ def build_filtered_index(
     salting must reflect the sub-corpus), then run the shared SPIMI ->
     exchange -> merge phases.
 
+    The base is one snapshot: every generation's docstore, each with its
+    tombstoned rows masked, so the subset is drawn from the live corpus.
     ``predicate`` is a pyarrow dataset filter expression over docstore
     columns (doc_id, url, warc_ts, lang, text, dl); ``predicate_tag`` is
     its stable string form, part of the checkpoint key (expressions don't
     hash stably)."""
-    base, out = Path(base_index_dir), Path(out_dir)
-    base_docs = sorted(str(p) for p in (base / "docs").glob("*.parquet"))
-    if not base_docs:
-        raise FileNotFoundError(f"no docstore under {base}")
-    key = f"{fingerprint_inputs(base_docs)}-{config_key(cfg)}-flt:{predicate_tag}"
+    state = open_index(base_index_dir)
+    out = Path(out_dir)
+    if not state.docs:
+        raise FileNotFoundError(f"no docstore under {state.root}")
+    # every generation's docstore files and the tombstones masking them
+    key = (f"{fingerprint_inputs(state.docs + list(state.tombstones))}-"
+           f"{config_key(cfg)}-flt:{predicate_tag}")
     out.mkdir(parents=True, exist_ok=True)
     docs_dir = out / "docs"
     metrics: dict = {"phases": {}}
@@ -719,7 +725,13 @@ def build_filtered_index(
         if tmp_docs.exists():
             shutil.rmtree(tmp_docs)
         tmp_docs.mkdir(parents=True)  # Ray writes no file for an empty subset
-        ds = rd.read_parquet(base_docs, filter=predicate)
+        parts = []
+        for g in state.generations:
+            if g.docs:
+                ds = rd.read_parquet(list(g.docs), filter=predicate)
+                parts.append(ds.map_batches(g.live, batch_format="pyarrow")
+                             if g.dead.size else ds)
+        ds = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
         ds.write_parquet(str(tmp_docs), compression="lz4")
         if docs_dir.exists():
             shutil.rmtree(docs_dir)

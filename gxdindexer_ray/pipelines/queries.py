@@ -700,6 +700,7 @@ def q46_incremental_topk(sf: str):
 
     import pyarrow.dataset as pads
 
+    from ..index.layout import open_index
     from ..state.manifest import atomic_write_json, read_json
     from .build import build_index
     from .incremental import append_index, compact_index, delete_docs
@@ -728,12 +729,11 @@ def q46_incremental_topk(sf: str):
             # original doc ids -> internal index doc_ids via docstore urls
             # (tiny driver-side metadata pass: one url per deleted doc)
             dead_internal = []
-            for docs_dir in [ix / "docs", ix / "gen-0001" / "docs"]:
-                t = pads.dataset(str(docs_dir), format="parquet").to_table(
-                    columns=["doc_id", "url"])
-                for did, url in zip(t["doc_id"].to_pylist(), t["url"].to_pylist()):
-                    if int(url.rsplit("/", 1)[1]) % 17 == 3:
-                        dead_internal.append(did)
+            t = pads.dataset(open_index(ix).docs, format="parquet").to_table(
+                columns=["doc_id", "url"])
+            for did, url in zip(t["doc_id"].to_pylist(), t["url"].to_pylist()):
+                if int(url.rsplit("/", 1)[1]) % 17 == 3:
+                    dead_internal.append(did)
             delete_docs(ix, dead_internal)
             compact_index(ix, cfg)
             atomic_write_json(done, {"fingerprint": fp,

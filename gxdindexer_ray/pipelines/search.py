@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pyarrow as pa
 
+from ..index.layout import Generation, IndexState, as_state
 from ..index.reader import IndexReader
 from ..query.brute import brute_force_topk
 from ..query.wand import block_max_wand_topk
@@ -39,7 +40,7 @@ class PhraseAndBooleanMixin:
       oracle because survivors are scored with the standard scorer.
     - phrase: candidate docs = AND of the phrase terms' postings, then
       exact adjacency verification against the doc-store text (docstore
-      files are docID-range clustered, so the candidate reads are pruned
+      files are doc_id-sorted, so the candidate reads are pruned
       row-group reads, not scans). This is the verify-on-candidates design:
       no positions in the postings, exact results, cost bounded by the
       rarest term's df."""
@@ -166,55 +167,19 @@ class PhraseAndBooleanMixin:
                 matched.append(int(did))
         return matched
 
-    def _docstore_files_by_gen(self) -> list[tuple[int, list[str]]]:
-        """[(generation index, its docstore parquet paths)], base = 0."""
-        return _index_docstore_files_by_gen(self.reader.index_dir)
-
-    def _docstore_by_gen(self) -> list[tuple[int, "object"]]:
-        """[(generation index, parquet dataset of its docs)], base = 0."""
+    def _meta_for(self, doc_ids, columns: list[str]) -> pa.Table:
+        """Docstore metadata for a match set, read from the reader's
+        snapshot with each generation's tombstoned rows masked. Docstore
+        files are doc_id-sorted with row-group stats, so the isin filter
+        resolves to row-group-pruned reads, not scans."""
+        import pyarrow.compute as pc
         import pyarrow.dataset as pads
 
-        return [(gen, pads.dataset(files, format="parquet"))
-                for gen, files in self._docstore_files_by_gen()]
-
-    def _tombstones(self):
-        from ..index.reader import load_tombstones
-
-        if not hasattr(self, "_tombs_cache"):
-            self._tombs_cache = load_tombstones(self.reader.index_dir)
-        return self._tombs_cache
-
-    def _alive_mask(self, doc_ids: "np.ndarray", gen: int):
-        """Boolean mask of rows alive in generation ``gen`` — the reader's
-        own decode rule (a row is dead iff some tombstone has
-        upto_gen >= gen, so deleted-then-re-added docs stay visible through
-        their NEW generation only), or None when nothing is dead."""
-        import numpy as np
-
-        from ..index.reader import dead_ids_for_gen
-
-        dead = dead_ids_for_gen(self._tombstones(), gen)
-        if dead is None or doc_ids.size == 0:
-            return None
-        alive = ~np.isin(doc_ids, dead)
-        return None if alive.all() else alive
-
-    def _meta_for(self, doc_ids, columns: list[str]) -> pa.Table:
-        """Docstore metadata for a match set, tombstone-masked per
-        generation. The docstore files are docID-range clustered, so the
-        isin filter resolves to row-group-pruned reads, not scans."""
-        import pyarrow.compute as pc
-
         ids = [int(d) for d in doc_ids]
-        parts = []
-        for gen, ds in self._docstore_by_gen():
-            t = ds.to_table(columns=["doc_id", *columns],
-                            filter=pc.field("doc_id").isin(ids))
-            alive = self._alive_mask(t["doc_id"].to_numpy(), gen)
-            if alive is not None:
-                t = t.filter(pa.array(alive))
-            parts.append(t)
-        return pa.concat_tables(parts)
+        return pa.concat_tables(
+            g.live(pads.dataset(list(g.docs), format="parquet").to_table(
+                columns=["doc_id", *columns], filter=pc.field("doc_id").isin(ids)))
+            for g in self.reader.state.generations if g.docs)
 
     def _texts_for(self, doc_ids) -> dict[int, str]:
         tbl = self._meta_for(doc_ids, ["text"])
@@ -257,85 +222,53 @@ def parse_doc_filter(expr: str) -> DocFilter:
     return DocFilter(expr.strip(), [col], lambda t: fn(t[col], val))
 
 
-def _index_docstore_files_by_gen(index_dir) -> list[tuple[int, list[str]]]:
-    """[(generation index, its docstore parquet paths)], base = 0."""
-    from ..index.reader import generation_dirs
-
-    root = Path(index_dir)
-    out = []
-    for gen, d in enumerate([root] + generation_dirs(root)):
-        files = [str(f) for f in sorted((d / "docs").glob("*.parquet"))]
-        if files:
-            out.append((gen, files))
-    return out
+# docstores above this many bytes build filter docsets as a Ray Data job
+# (cold-filter cost then scales with the cluster, not one process)
+DIST_FILTER_MIN_BYTES = 256 * 1024 * 1024
 
 
-def build_filter_docset(index_dir, doc_filter: DocFilter, *,
-                        dist_min_bytes: int | None = None) -> "np.ndarray":
+def _passing(t: pa.Table, doc_filter: DocFilter, g: Generation) -> pa.Table:
+    """doc_ids of the live rows of ``t`` (generation ``g``'s docstore rows)
+    that pass ``doc_filter``: the stale row of a deleted or re-added doc
+    can't admit it (the posting decode's per-generation tombstone rule)."""
+    return g.live(t.filter(doc_filter.mask_fn(t))).select(["doc_id"])
+
+
+def build_filter_docset(index: str | Path | IndexState, doc_filter: DocFilter, *,
+                        dist_min_bytes: int = DIST_FILTER_MIN_BYTES) -> "np.ndarray":
     """Sorted uint64 array of doc ids passing ``doc_filter`` — the fq
-    docset. Rows are tombstone-masked with the decode rule (a generation-g
-    row is dead iff some tombstone has upto_gen >= g). Docstores above
-    ``dist_min_bytes`` scan as a Ray Data job (column-pruned parallel read;
-    only passing ids, 8 B each, return to the driver); smaller ones scan
-    locally. Module-level so pool serving can build the set ONCE and
-    broadcast it instead of paying the scan per actor."""
+    docset, over one index snapshot. Docstores above ``dist_min_bytes``
+    scan as a Ray Data job (column-pruned parallel read; only passing ids,
+    8 B each, return to the driver); smaller ones scan locally.
+    Module-level so pool serving can build the set ONCE and broadcast it
+    instead of paying the scan per actor."""
     import os
 
     import numpy as np
-
-    from ..index.reader import dead_ids_for_gen, load_tombstones
-
-    if dist_min_bytes is None:
-        dist_min_bytes = int(os.environ.get(
-            "GXDRAY_DIST_FILTER_MIN_BYTES", 256 * 1024 * 1024))
-    by_gen = _index_docstore_files_by_gen(index_dir)
-    tombs = load_tombstones(index_dir)
-
+    import pyarrow.dataset as pads
     import ray
 
-    total = sum(os.path.getsize(f) for _, fs in by_gen for f in fs)
-    if ray.is_initialized() and total >= dist_min_bytes:
+    gens = [g for g in as_state(index).generations if g.docs]
+    columns = ["doc_id", *doc_filter.columns]
+    parts = [np.empty(0, np.int64)]
+    if gens and ray.is_initialized() and sum(
+            os.path.getsize(f) for g in gens for f in g.docs) >= dist_min_bytes:
         import ray.data as rd
 
         parts_ds = []
-        for gen, files in by_gen:
-            dead = dead_ids_for_gen(tombs, gen)
-            dead_ref = ray.put(dead) if dead is not None else None
-            mask_fn = doc_filter.mask_fn
-
-            def passing(t: pa.Table, dead_ref=dead_ref, mask_fn=mask_fn) -> pa.Table:
-                ids = t["doc_id"].filter(mask_fn(t)).to_numpy(zero_copy_only=False)
-                if dead_ref is not None and ids.size:
-                    ids = ids[~np.isin(ids, ray.get(dead_ref))]
-                return pa.table({"doc_id": pa.array(ids, pa.int64())})
-
-            parts_ds.append(
-                rd.read_parquet(files, columns=["doc_id", *doc_filter.columns])
-                .map_batches(passing, batch_format="pyarrow"))
+        for g in gens:
+            g_ref = ray.put(g)
+            parts_ds.append(rd.read_parquet(list(g.docs), columns=columns).map_batches(
+                lambda t, g_ref=g_ref: _passing(t, doc_filter, ray.get(g_ref)),
+                batch_format="pyarrow"))
         ds = parts_ds[0].union(*parts_ds[1:]) if len(parts_ds) > 1 else parts_ds[0]
-        got = [b["doc_id"].to_numpy()
-               for b in ds.iter_batches(batch_format="pyarrow")]
-        if not got:
-            return np.empty(0, dtype=np.uint64)
-        return np.unique(np.concatenate(got).astype(np.uint64))
-
-    import pyarrow.dataset as pads
-
-    parts = []
-    for gen, files in by_gen:
-        dead = dead_ids_for_gen(tombs, gen)
-        for batch in pads.dataset(files, format="parquet").to_batches(
-                columns=["doc_id", *doc_filter.columns]):
-            t = pa.Table.from_batches([batch])
-            ids = t["doc_id"].filter(doc_filter.mask_fn(t)) \
-                .to_numpy(zero_copy_only=False)
-            # stale rows of deleted / re-added docs can't admit the doc:
-            # same per-generation tombstone rule the posting decode uses
-            if dead is not None and ids.size:
-                ids = ids[~np.isin(ids, dead)]
-            parts.append(ids)
-    return (np.unique(np.concatenate(parts).astype(np.uint64))
-            if parts else np.empty(0, dtype=np.uint64))
+        parts += [b["doc_id"].to_numpy() for b in ds.iter_batches(batch_format="pyarrow")]
+    else:
+        for g in gens:
+            parts += [_passing(pa.Table.from_batches([b]), doc_filter, g)["doc_id"].to_numpy()
+                      for b in pads.dataset(list(g.docs), format="parquet")
+                      .to_batches(columns=columns)]
+    return np.unique(np.concatenate(parts).astype(np.uint64))
 
 
 def _deletes(term: str, max_dist: int) -> set[str]:
@@ -516,10 +449,8 @@ class ServingFeaturesMixin:
 
     _FILTER_CACHE_MAX = 32
 
-    # docstores above this many bytes build filter docsets as a Ray Data
-    # job (cold-filter cost then scales with the cluster, not one process);
-    # class attribute so tests can force either path per instance
-    DIST_FILTER_MIN_BYTES = None  # None -> env / 256 MB default
+    # class attribute so tests can force either docset path per instance
+    DIST_FILTER_MIN_BYTES = DIST_FILTER_MIN_BYTES
 
     def filter_docset(self, doc_filter: DocFilter):
         """Sorted uint64 doc-id array passing the filter (cached)."""
@@ -529,7 +460,7 @@ class ServingFeaturesMixin:
         hit = cache.get(doc_filter.key)
         if hit is not None:
             return hit
-        out = build_filter_docset(self.reader.index_dir, doc_filter,
+        out = build_filter_docset(self.reader.state, doc_filter,
                                   dist_min_bytes=self.DIST_FILTER_MIN_BYTES)
         if len(cache) >= self._FILTER_CACHE_MAX:
             cache.pop(next(iter(cache)))
@@ -836,11 +767,10 @@ class SearchEngine(PhraseAndBooleanMixin, ServingFeaturesMixin):
         self.reader = IndexReader(index_dir, warm_top_terms=warm_top_terms,
                                   lexicon=lexicon)
 
-    # below this many candidate postings, vectorized exhaustive scoring beats
-    # the per-posting Python cost of WAND; above it, WAND's skipping (which
-    # avoids even decoding most blocks) wins. Measured crossover is in the
-    # millions on this hardware — numpy scoring is ~50M postings/s while a
-    # WAND pivot step costs ~5-10us.
+    # up to this many candidate postings, "auto" scores exhaustively
+    # (vectorized numpy) instead of with block-max WAND. The crossover is
+    # unmeasured: WAND measured slower than brute at 4k, 20k and 200k docs,
+    # so the cut-off only keeps brute for every corpus measured so far.
     AUTO_BRUTE_MAX_POSTINGS = 5_000_000
 
     def topk(self, query: str, k: int, method: str = "auto",
@@ -925,10 +855,13 @@ def batch_search(queries_ds, index_dir: str | Path, *, method: str = "auto",
     nodes, each with its own reader pool)."""
     import ray
 
-    from ..index.reader import build_lexicon
+    from ..index import reader
 
-    lexicon_ref = ray.put(build_lexicon(index_dir))  # built once, shared
-    docset_ref = (ray.put(build_filter_docset(index_dir, doc_filter))
+    # built once and shared; the lexicon carries the snapshot it was read
+    # from, so every actor's stats and docstore reads match its postings
+    lexicon = reader.build_lexicon(index_dir)
+    lexicon_ref = ray.put(lexicon)
+    docset_ref = (ray.put(build_filter_docset(lexicon["state"], doc_filter))
                   if doc_filter is not None else None)
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     # FIXED pool size: autoscaling ramped actors one-by-one and the whole

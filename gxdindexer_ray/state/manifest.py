@@ -46,7 +46,7 @@ def fingerprint_inputs(paths: list[str | Path]) -> str:
 def config_key(cfg: Any) -> str:
     d = asdict(cfg) if is_dataclass(cfg) else dict(cfg)
     # execution-only knobs must not invalidate checkpoints
-    for k in ("batch_size", "spimi_batch_size", "extract_concurrency", "min_rows_per_file"):
+    for k in ("batch_size", "spimi_batch_size"):
         d.pop(k, None)
     return hashlib.blake2b(json.dumps(d, sort_keys=True).encode(), digest_size=12).hexdigest()
 

@@ -53,10 +53,10 @@ def appended_and_ref(corpora):
 
 
 def test_append_global_stats_match_full_rebuild(appended_and_ref):
-    from gxdindexer_ray.index.reader import read_global_stats
+    from gxdindexer_ray.index.layout import open_index
 
     idx, ref, m = appended_and_ref
-    gi = read_global_stats(idx)
+    gi = open_index(idx).stats
     gr = read_json(Path(ref) / "stats.json")
     assert gi["N"] == gr["N"]
     assert gi["total_dl"] == gr["total_dl"]
@@ -92,7 +92,8 @@ def test_append_dedups_across_generations(corpora, tmp_path):
     wins (first-wins across generations), matching a from-scratch build of
     the concatenation when the re-crawl carries later timestamps."""
     from gxdindexer_ray.pipelines import append_index, build_index
-    from gxdindexer_ray.index.reader import IndexReader, read_global_stats
+    from gxdindexer_ray.index.layout import open_index
+    from gxdindexer_ray.index.reader import IndexReader
 
     a, b, full, _ = corpora
     # delta B' = all of B plus 200 of A's docs re-stamped one day later
@@ -120,7 +121,7 @@ def test_append_dedups_across_generations(corpora, tmp_path):
 
     base_n = read_json(idx / "stats.json")["N"]  # < 1000: fixture plants dup urls
     assert m["excluded_prior_docs"] == base_n
-    gi = read_global_stats(idx)
+    gi = open_index(idx).stats
     gr = read_json(ref / "stats.json")
     assert gi["N"] == gr["N"]
     assert gi["total_dl"] == gr["total_dl"]
@@ -135,7 +136,8 @@ def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_p
     scale path, forced here by lowering EXCHANGE_EXCLUSION_THRESHOLD) must
     produce an index identical to the broadcast path, including when the
     delta re-crawls docs the base already owns."""
-    from gxdindexer_ray.index.reader import IndexReader, read_global_stats
+    from gxdindexer_ray.index.layout import open_index
+    from gxdindexer_ray.index.reader import IndexReader
     from gxdindexer_ray.pipelines import append_index, build_index, incremental
 
     a, b, full, _ = corpora
@@ -162,7 +164,7 @@ def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_p
     assert m_x["exclusion_mode"] == "exchange"
     assert m_b["excluded_prior_docs"] == m_x["excluded_prior_docs"] > 0
 
-    gb, gx = read_global_stats(idx_b), read_global_stats(idx_x)
+    gb, gx = open_index(idx_b).stats, open_index(idx_x).stats
     assert gb["N"] == gx["N"] and gb["total_dl"] == gx["total_dl"]
     assert IndexReader(idx_b, warm_top_terms=0).term_stats() == \
         IndexReader(idx_x, warm_top_terms=0).term_stats()
@@ -254,7 +256,8 @@ def test_compacting_marker_blocks_reads(ray_session, corpora, tmp_path):
     """ADVICE r2: a crash inside compaction's destructive window must leave
     the index LOUDLY unreadable (compacting.json marker), not silently
     missing the delta docs. compact_index clears the marker on success."""
-    from gxdindexer_ray.index.reader import build_lexicon, read_global_stats
+    from gxdindexer_ray.index.layout import open_index
+    from gxdindexer_ray.index.reader import build_lexicon
     from gxdindexer_ray.pipelines import append_index, build_index, compact_index
 
     a, b, _, _ = corpora
@@ -264,20 +267,20 @@ def test_compacting_marker_blocks_reads(ray_session, corpora, tmp_path):
     # simulate a crash right after compact wrote its marker
     (idx / "compacting.json").write_text('{"started_at": 0}')
     with pytest.raises(RuntimeError, match="compaction"):
-        read_global_stats(idx)
+        open_index(idx)
     with pytest.raises(RuntimeError, match="compaction"):
         build_lexicon(idx)
     # re-running compact converges and clears the marker
     compact_index(idx, CFG)
     assert not (idx / "compacting.json").exists()
-    assert read_global_stats(idx)["N"] > 0
+    assert open_index(idx).stats["N"] > 0
 
 
 def test_append_after_compact_cycle(ray_session, corpora, tmp_path):
     """Full lifecycle: build -> append -> compact -> append again. The
     second append must see the compacted corpus as its base (its docs are
     excluded) and the reader must span the new generation."""
-    from gxdindexer_ray.index.reader import read_global_stats
+    from gxdindexer_ray.index.layout import open_index
     from gxdindexer_ray.pipelines import (SearchEngine, append_index,
                                           build_index, compact_index)
 
@@ -286,14 +289,14 @@ def test_append_after_compact_cycle(ray_session, corpora, tmp_path):
     build_index(a, idx, CFG)
     append_index(b, idx, CFG)
     compact_index(idx, CFG)
-    n_after_compact = read_global_stats(idx)["N"]
+    n_after_compact = open_index(idx).stats["N"]
     # third corpus: 100 fresh docs
     docs = [(f"https://cycle.example/{i}", f"cycle{i % 7} zulu probe") for i in range(100)]
     c = tmp_path / "c"
     _mini_corpus(c, docs)
     m = append_index(c, idx, CFG)
     assert m["excluded_prior_docs"] == n_after_compact
-    g = read_global_stats(idx)
+    g = open_index(idx).stats
     assert g["N"] == n_after_compact + 100
     eng = SearchEngine(idx, warm_top_terms=0)
     hits = eng.topk("zulu", 10, "bmw")
@@ -388,7 +391,7 @@ def test_tombstone_delete_lifecycle(ray_session, tmp_path):
     physically and the segments are byte-identical to a from-scratch build
     of the corpus without the deleted docs."""
     from gxdindexer_ray.index.docid import doc_id_of
-    from gxdindexer_ray.index.reader import read_global_stats
+    from gxdindexer_ray.index.layout import open_index
     from gxdindexer_ray.pipelines import (SearchEngine, append_index, build_index,
                                           compact_index, delete_docs)
 
@@ -419,7 +422,7 @@ def test_tombstone_delete_lifecycle(ray_session, tmp_path):
 
     compact_index(idx, CFG)
     assert not (idx / "tombstones").exists()
-    assert read_global_stats(idx)["N"] == 58
+    assert open_index(idx).stats["N"] == 58
 
     keep = ([d for d in base_docs if d[0] != "https://d.example/3"]
             + [d for d in delta_docs if d[0] != "https://e.example/7"])
@@ -439,7 +442,7 @@ def test_delete_then_reappend_serves_new_copy(ray_session, tmp_path):
     after a delete serves the fresh copy from the new generation; deleting
     again kills that one too; compaction converges."""
     from gxdindexer_ray.index.docid import doc_id_of
-    from gxdindexer_ray.index.reader import read_global_stats
+    from gxdindexer_ray.index.layout import open_index
     from gxdindexer_ray.pipelines import (SearchEngine, append_index, build_index,
                                           compact_index, delete_docs)
 
@@ -464,7 +467,7 @@ def test_delete_then_reappend_serves_new_copy(ray_session, tmp_path):
     delete_docs(idx, [x])  # covers the new generation now
     assert x not in {d for d, _ in SearchEngine(idx, warm_top_terms=0).topk("kiwi", 50)}
     compact_index(idx, CFG)
-    assert read_global_stats(idx)["N"] == 19
+    assert open_index(idx).stats["N"] == 19
 
 
 def test_cli_delete(ray_session, tmp_path):
@@ -593,3 +596,87 @@ def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
     for q in ("yankee1", "xray", "yankee2 xray"):
         for method in ("brute", "bmw"):
             assert eng.topk(q, 10, method) == oracle.topk(q, 10), (q, method)
+
+
+def test_snapshot_engine_agrees_across_paths_after_delete(ray_session, tmp_path):
+    """An engine answers from the snapshot it opened: a delete after the
+    open is invisible to every path alike (topk on both scorers, boolean,
+    docstore-verified phrase), and a reopened engine drops the victim from
+    all four."""
+    from gxdindexer_ray.pipelines import SearchEngine, build_index, delete_docs
+
+    docs = [(f"https://v.example/{i}", f"victor{i % 4} whiskey xray{i}") for i in range(40)]
+    base = tmp_path / "vb"
+    _mini_corpus(base, docs)
+    idx = tmp_path / "vidx"
+    build_index(base, idx, CFG)
+
+    def answers(eng):
+        return [{d for d, _ in hits} for hits in (
+            eng.topk("victor1", 40, "brute"), eng.topk("victor1", 40, "bmw"),
+            eng.boolean_topk(["victor1", "whiskey"], 40),
+            eng.phrase_topk("victor1 whiskey", 40))]
+
+    old = SearchEngine(idx, warm_top_terms=0)
+    victim = old.topk("victor1", 1, "brute")[0][0]
+    delete_docs(idx, [victim])
+    assert all(victim in s and len(s) == 10 for s in answers(old))
+    assert all(victim not in s and len(s) == 9
+               for s in answers(SearchEngine(idx, warm_top_terms=0)))
+
+
+def test_snapshot_snippets_keep_old_text(ray_session, tmp_path):
+    """An engine opened before a delete and re-append of doc x ranks x on
+    its old text and shows that text in snippets, not the new
+    generation's."""
+    from gxdindexer_ray.index.docid import doc_id_of
+    from gxdindexer_ray.pipelines import SearchEngine, append_index, build_index, delete_docs
+
+    docs = [(f"https://n.example/{i}", f"kiwi oldword{i}") for i in range(20)]
+    base = tmp_path / "nb"
+    _mini_corpus(base, docs)
+    idx = tmp_path / "nidx"
+    build_index(base, idx, CFG)
+    x = doc_id_of("https://n.example/5")
+    old = SearchEngine(idx, warm_top_terms=0)
+    delete_docs(idx, [x])
+    readd = tmp_path / "nre"
+    _mini_corpus(readd, [("https://n.example/5", "kiwi newword")], ts0=1_700_000_000_000_000)
+    append_index(readd, idx, CFG)
+
+    assert {d for d, _ in old.topk("oldword5", 5)} == {x}
+    assert old.topk("newword", 5) == []
+    assert old.snippets_for([x], ["kiwi"]) == {x: "kiwi oldword5"}
+    assert SearchEngine(idx, warm_top_terms=0).snippets_for([x], ["kiwi"]) == {x: "kiwi newword"}
+
+
+def test_filtered_index_spans_generations_and_tombstones(ray_session, tmp_path):
+    """A match-all filtered build over a base, an appended generation and
+    a tombstone indexes the live corpus: its N and (term, df, cf) lexicon
+    equal a build over the live pages."""
+    import pyarrow.compute as pc
+
+    from gxdindexer_ray.index.docid import doc_id_of
+    from gxdindexer_ray.index.reader import IndexReader
+    from gxdindexer_ray.pipelines import append_index, build_index, delete_docs
+    from gxdindexer_ray.pipelines.build import build_filtered_index
+
+    base_docs = [(f"https://f.example/{i}", f"lima common{i % 3} base{i}") for i in range(40)]
+    delta_docs = [(f"https://g.example/{i}", f"lima common{i % 3} delta{i}") for i in range(10)]
+    base, delta = tmp_path / "fb", tmp_path / "fd"
+    _mini_corpus(base, base_docs)
+    _mini_corpus(delta, delta_docs, ts0=1_700_000_000_000_000)
+    idx = tmp_path / "fidx"
+    build_index(base, idx, CFG)
+    append_index(delta, idx, CFG)
+    delete_docs(idx, [doc_id_of("https://f.example/7")])
+
+    out = tmp_path / "fall"
+    build_filtered_index(idx, out, pc.field("dl") >= 0, CFG, predicate_tag="all")
+    live = tmp_path / "flive"
+    _mini_corpus(live, [d for d in base_docs if d[0] != "https://f.example/7"] + delta_docs)
+    ref = tmp_path / "fref"
+    build_index(live, ref, CFG)
+    got, want = IndexReader(out, warm_top_terms=0), IndexReader(ref, warm_top_terms=0)
+    assert got.N == want.N == 49
+    assert got.term_stats() == want.term_stats()
