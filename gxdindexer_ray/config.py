@@ -20,26 +20,30 @@ class IndexConfig:
     # --- posting layout ---
     block_size: int = 128          # postings per skip/block-max block
     n_buckets: int = 0             # segment files (groupby key space).
-                                   # 0 (default) = auto: resolved at build
-                                   # time to the next power of two of
-                                   # N/31250, clamped to [32, 4096] —
-                                   # derived from CORPUS SIZE (content),
-                                   # never cluster size/parallelism, so the
-                                   # segment-bytes invariance contract holds
-                                   # while per-bucket merge working sets stay
-                                   # ~constant as the corpus grows (measured:
-                                   # 27% faster 2M build vs fixed 32,
-                                   # BASELINE.md §3; resolves to the 32 floor
-                                   # for any corpus <= 1M docs). An explicit
-                                   # value pins the layout.
+                                   # 0 (default) = auto: resolved once per
+                                   # build by segment_layout() from the
+                                   # post-dedup N (content, never cluster
+                                   # size/parallelism, so the segment-bytes
+                                   # invariance contract holds). One bucket
+                                   # per 4,096 docs up to 32, then one per
+                                   # 31,250 docs up to 4,096: a small
+                                   # generation writes one file, and per-
+                                   # bucket merge working sets stay ~constant
+                                   # as the corpus grows (measured: 27%
+                                   # faster 2M build vs fixed 32, BASELINE.md
+                                   # §3). An explicit value pins the bucket
+                                   # count and, through it, the shard count.
 
     # --- skew handling (SURVEY.md §7.3: salt hot terms) ---
     # A term is "hot" when its sampled document frequency exceeds
     # hot_df_ratio of sampled docs; its postings are then sharded by the top
-    # `shard_bits` bits of doc_id (doc-range sharding -> shards concatenate
-    # in shard order with strictly ascending docIDs, no second merge pass).
+    # bits of doc_id (doc-range sharding -> shards concatenate in shard
+    # order with strictly ascending docIDs, no second merge pass).
     hot_df_ratio: float = 0.10
-    shard_bits: int = 5            # 32 shards per hot term
+    shard_bits: int = 5            # cap: a hot term splits into
+                                   # min(2**shard_bits, n_buckets) shards
+                                   # (segment_layout), so a one-bucket
+                                   # generation has no shards and no P2 scan
     hot_sample_target: int = 50_000  # deterministic hash-sample size for hot-term detection
 
     # --- positions (optional; enables index-resident phrase matching) ---
@@ -66,3 +70,23 @@ class IndexConfig:
 
 
 DEFAULT_CONFIG = IndexConfig()
+
+
+def segment_layout(n_docs: int, cfg: IndexConfig) -> tuple[int, int]:
+    """(n_buckets, shard_bits) of a generation of ``n_docs`` post-dedup
+    docs: a pure function of content and config, never of parallelism.
+
+    Auto buckets (``cfg.n_buckets == 0``) double from 1 while a bucket
+    would hold more than 4,096 docs, up to 32, then while it would hold
+    more than 31,250, up to 4,096; so every N > 65,536 gets the layout of
+    the former 32-bucket floor. An explicit ``cfg.n_buckets`` is kept as
+    is, whatever ``n_docs``. A hot term splits into at most one doc-range
+    shard per bucket: 2**shard_bits <= min(2**cfg.shard_bits, n_buckets)."""
+    n = cfg.n_buckets
+    if n == 0:
+        n = 1
+        while n < 32 and n_docs / n > 4096:
+            n *= 2
+        while n < 4096 and n_docs / n > 31_250:
+            n *= 2
+    return n, min(cfg.shard_bits, n.bit_length() - 1)

@@ -4,15 +4,15 @@ The build's SPIMI map tasks write compressed partial files straight into
 one directory per segment bucket (an exchange through storage, no sort
 shuffle); the build then runs one ``ray.remote(merge_bucket_files)`` task
 per bucket over that bucket's partial files, largest bucket first.
-n_buckets is FIXED in config (or a pure function of N), never derived
-from cluster size, so segment bytes are parallelism-invariant. Within a
-bucket the merge is vectorized per (term, shard): decode partial
-payloads, concatenate, argsort by docID (partials from different batches
-interleave across the hash-docID space; docs are unique per term after
-url dedup), re-encode with skip pointers + block-max, and write the
-bucket's immutable segment file tmp+rename. This k-way merge into
-immutable segments *is* the reference's delegated Solr merge/optimize
-step (reference Indexer.java:136-148).
+n_buckets is pinned in config or resolved from the generation's N by
+``config.segment_layout``, never derived from cluster size, so segment
+bytes are parallelism-invariant. Within a bucket the merge is vectorized
+per (term, shard): decode partial payloads, concatenate, argsort by docID
+(partials from different batches interleave across the hash-docID space;
+docs are unique per term after url dedup), re-encode with skip pointers
++ block-max, and write the bucket's immutable segment file tmp+rename.
+This k-way merge into immutable segments *is* the reference's delegated
+Solr merge/optimize step (reference Indexer.java:136-148).
 
 Returns one manifest row per bucket (lineage + metrics: n_terms,
 n_postings, payload bytes in = bytes shuffled, bytes out).
@@ -57,8 +57,8 @@ def merge_bucket_files(bucket_files: list[str], segments_dir: str, avgdl: float,
     """Reducer for the file-based exchange: read one bucket's partial files,
     merge, write its segment(s). Run as one Ray task per bucket
     (``ray.remote(merge_bucket_files)``) — this is the rare drop below the
-    Dataset API: a 32-way fixed fan-out that the groupby sort shuffle would
-    only make slower. Returns the bucket's lineage/manifest row.
+    Dataset API: a fixed fan-out of one task per bucket that the groupby
+    sort shuffle would only make slower. Returns the bucket's lineage/manifest row.
 
     Memory bound: the decoded working set (~24 B/posting + sort
     temporaries) is capped by splitting oversized buckets into term-hash

@@ -8,11 +8,14 @@ One batch of (doc_id, text) rows in, one Arrow table of compressed posting
 (term, doc, tf) rows.
 
 Skew handling: terms in the broadcast hot set (detected from a deterministic
-doc_id hash-sample) are sharded by the top ``shard_bits`` bits of doc_id.
-Shards are docID-range-disjoint, so a hot term's merged shards concatenate
-in shard order with globally ascending docIDs — no second merge pass
-(SURVEY.md §7.3). The shuffle key is ``bucket = blake2b(term, shard) %
-n_buckets`` which also spreads one hot term's shards across reducers.
+doc_id hash-sample) are sharded by the top ``shard_bits`` bits of doc_id,
+where ``shard_bits`` comes from ``config.segment_layout`` over the resolved
+``n_buckets``: at most one shard per bucket, so a one-bucket generation
+has a single shard and an empty hot set. Shards are docID-range-disjoint,
+so a hot term's merged shards concatenate in shard order with globally
+ascending docIDs — no second merge pass (SURVEY.md §7.3). The shuffle key
+is ``bucket = blake2b(term, shard) % n_buckets`` which also spreads one hot
+term's shards across reducers.
 
 Each worker process builds one ``SpimiPartialBuilder``, which receives the
 hot-term set once in ``__init__`` (ray.put broadcast — the reference's
@@ -28,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..codecs.varint import varint_encode_segments
-from ..config import IndexConfig
+from ..config import IndexConfig, segment_layout
 from ..text.tokenize import doc_term_counts
 
 PARTIAL_SCHEMA = pa.schema(
@@ -86,8 +89,8 @@ def make_spimi_writer_fn(hot_terms_ref, cfg: IndexConfig, partials_dir: str):
 
     This replaces the groupby sort shuffle with a direct hash exchange
     through storage — the same data movement a sort-based shuffle performs,
-    minus the global sort nobody needs (rows only have to be grouped by a
-    32-value bucket key, and the merge re-sorts by docID anyway). It is
+    minus the global sort nobody needs (rows only have to be grouped by an
+    n_buckets-value bucket key, and the merge re-sorts by docID anyway). It is
     also the multi-node shape: bucket directories live on shared storage,
     and each reducer reads exactly its bucket."""
     import os
@@ -153,6 +156,8 @@ class SpimiPartialBuilder:
         else:
             hot = ray.get(hot_terms_ref) if isinstance(hot_terms_ref, ray.ObjectRef) else hot_terms_ref
             self.hot = frozenset(hot)
+        # cfg.n_buckets is the resolved count, so n_docs plays no part
+        _, self.shard_bits = segment_layout(0, self.cfg)
         self._bucket_cache: dict[tuple[str, int], int] = {}
         self._rslot_cache: dict[str, int] = {}
 
@@ -204,7 +209,7 @@ class SpimiPartialBuilder:
             l_all = dls[doc_idx[srt]].astype(np.uint64)
             pos_sorted = pair_starts = None
         vlist = vocab.to_pylist()
-        shard_shift = np.uint64(63 - cfg.shard_bits)
+        shard_shift = np.uint64(63 - self.shard_bits)
 
         hot_codes = np.fromiter((t in self.hot for t in vlist), dtype=bool, count=len(vlist))
         hot_flag = hot_codes[s_codes]

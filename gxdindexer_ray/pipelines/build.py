@@ -14,17 +14,21 @@ the reference lacks, see state/manifest.py):
                 sparse per-file rewrite ("ship keys, not payloads": at
                 <1%% duplicates the payload never moves twice)
   P1 stats    : N, avgdl -> stats.json (from P0's key rows, no scan)
+  layout      : (n_buckets, shard_bits) = config.segment_layout(N)
   P2 hotterms : deterministic doc_id hash-sample (doc_id < cut(N)) ->
                 sampled df -> hot set (one scan of the sealed docstore;
-                row-group stats on the doc_id-sorted files prune the rest)
+                row-group stats on the doc_id-sorted files prune the rest);
+                skipped, with an empty hot set, when the layout has one
+                shard per term
   P3 segments : tokenize + SPIMI partial tasks writing a per-bucket file
                 exchange -> one merge task per bucket -> segment files
                 + per-bucket lineage rows -> segments_manifest.json
 
 P1-P3 and metrics.json are one runner, _derive_index, shared with the
 filtered sub-index build and compaction: those start from a docstore that
-is already on disk, so their P1 is a scan of it too. P2 is the same scan
-for every entry point, so one docstore always gives one hot set.
+is already on disk, so their P1 is a scan of it too. The layout and P2
+are the same for every entry point, so one docstore always gives one
+layout and one hot set.
 
 Reference parity: this is GxdResultIndexer.index()'s scan->derive->write
 spine (GxdResultIndexer.java:935-1266) with the index build internalized
@@ -34,6 +38,7 @@ instead of delegated to Solr. Scale notes are inline per stage.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +48,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..config import DEFAULT_CONFIG, IndexConfig
+from ..config import DEFAULT_CONFIG, IndexConfig, segment_layout
 from ..index.docid import doc_id_column, sorted_member
 from ..index.layout import open_index
 from ..index.merge import merge_bucket_files
@@ -450,14 +455,15 @@ def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
                   resume: bool, metrics: dict, from_p0: dict | None = None) -> dict:
     """Everything after the docstore, in one place for every entry point
     (build_index, build_filtered_index, compact_index; append_index builds
-    through build_index): P1 corpus stats -> P2 hot terms -> P3 segments ->
-    metrics.json. Each phase seals its manifest under ``key`` and is
-    skipped on a resume with the same key. ``from_p0`` is the sealed P0
-    manifest of a build from pages: its key-row counts (n_docs, total_dl)
-    give the stats with no scan. Without it (a filtered subset, a
-    compaction's union) the stats are a scan of the ``dl`` column. The hot
-    terms are one scan of ``doc_files`` under the sample cut for every
-    entry point — the files on disk are the only truth."""
+    through build_index): P1 corpus stats -> segment layout -> P2 hot
+    terms -> P3 segments -> metrics.json. Each phase seals its manifest
+    under ``key`` and is skipped on a resume with the same key.
+    ``from_p0`` is the sealed P0 manifest of a build from pages: its
+    key-row counts (n_docs, total_dl) give the stats with no scan. Without
+    it (a filtered subset, a compaction's union) the stats are a scan of
+    the ``dl`` column. The hot terms are one scan of ``doc_files`` under
+    the sample cut for every entry point — the files on disk are the only
+    truth — and no scan at all when the layout has one shard per term."""
     import shutil
 
     phases = metrics["phases"]
@@ -490,43 +496,50 @@ def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
     stats = read_json(out / "stats.json")
     phases["stats"] = round(time.perf_counter() - t0, 3)
 
+    # ---------------- segment layout: a pure function of N ------------
+    # (checkpoint keys carry cfg's literal n_buckets plus the input
+    # fingerprint that N derives from)
+    n_buckets, shard_bits = segment_layout(stats["N"], cfg)
+    cfg = replace(cfg, n_buckets=n_buckets)
+
+    # ---------------- P2: hot-term detection --------------------------
+    # Deterministic hash-sample: doc_id < cut(N). A pure function of the
+    # docstore, so the hot set (and therefore segment bytes) never depends
+    # on parallelism or on which entry point wrote the docstore. With one
+    # shard per term (a small or empty generation) the hot set cannot move
+    # a byte, so the scan is skipped and the set is empty.
     p2 = PhaseManifest(out, "hotterms", key)
     hot_path = out / "hot_terms.json"
-    if not stats["N"]:
+    sample = bool(shard_bits and stats["N"])
+    t0 = time.perf_counter()
+    if not (resume and p2.is_complete()):
+        hot, sampled_docs = _hot_terms(doc_files, stats["N"], cfg) if sample else ([], 0)
+        atomic_write_json(hot_path, {"hot_terms": hot, "sampled_docs": sampled_docs})
+        p2.seal(n_hot=len(hot), sampled_docs=sampled_docs)
+    hot_terms = read_json(hot_path)["hot_terms"]
+    phases["hotterms"] = round(time.perf_counter() - t0, 3) if sample else 0.0
+
+    # ---------------- P3: SPIMI partials -> exchange -> merged segments
+    t0 = time.perf_counter()
+    if stats["N"]:
+        _segments_phase(out, doc_files, stats, hot_terms, cfg, key, resume)
+    else:
         # empty corpus (a re-append of pages the index already owns, a
         # predicate that matches nothing, a compaction after every doc was
-        # deleted): nothing to sample or post, but every artifact a reader
-        # opens is still written
+        # deleted): nothing to post, but every artifact a reader opens is
+        # still written
         shutil.rmtree(out / "segments", ignore_errors=True)
         (out / "segments").mkdir(parents=True)
         atomic_write_json(out / "segments_manifest.json", {"buckets": []})
         PhaseManifest(out, "segments", key).seal(n_buckets=0)
-        hot_terms = []
-        atomic_write_json(hot_path, {"hot_terms": hot_terms, "sampled_docs": 0})
-        p2.seal(n_hot=0, sampled_docs=0)
-        phases.update(hotterms=0.0, segments=0.0)
-    else:
-        # ------------ P2: hot-term detection --------------------------
-        # Deterministic hash-sample: doc_id < cut(N). A pure function of
-        # the docstore, so the hot set (and therefore segment bytes) never
-        # depends on parallelism or on which entry point wrote the docstore.
-        t0 = time.perf_counter()
-        if not (resume and p2.is_complete()):
-            hot, sampled_docs = _hot_terms(doc_files, stats["N"], cfg)
-            atomic_write_json(hot_path, {"hot_terms": hot, "sampled_docs": sampled_docs})
-            p2.seal(n_hot=len(hot), sampled_docs=sampled_docs)
-        hot_terms = read_json(hot_path)["hot_terms"]
-        phases["hotterms"] = round(time.perf_counter() - t0, 3)
-
-        # ------------ P3: SPIMI partials -> exchange -> merged segments
-        t0 = time.perf_counter()
-        _segments_phase(out, doc_files, stats, hot_terms, cfg, key, resume)
-        phases["segments"] = round(time.perf_counter() - t0, 3)
+    phases["segments"] = round(time.perf_counter() - t0, 3)
 
     buckets = read_json(out / "segments_manifest.json")["buckets"]
     metrics.update(
         N=stats["N"],
         avgdl=stats["avgdl"],
+        n_buckets=n_buckets,
+        n_shards=1 << shard_bits,
         n_hot_terms=len(hot_terms),
         n_postings=sum(r["n_postings"] for r in buckets),
         bytes_shuffled=sum(r["bytes_in"] for r in buckets),
@@ -588,18 +601,8 @@ def _hot_terms(doc_files: list[str], n_docs: int, cfg: IndexConfig) -> tuple[lis
 def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: list[str],
                     cfg: IndexConfig, key: str, resume: bool) -> None:
     """P3 of _derive_index: tokenize + SPIMI partials -> per-bucket file
-    exchange -> largest-first merges -> atomic segment swap."""
-    if cfg.n_buckets == 0:
-        # auto bucket count: ~31k docs (~2M postings) per bucket, power of
-        # two, clamped [32, 4096]. Pure function of post-dedup N — the
-        # parallelism-invariance contract survives; checkpoint keys carry
-        # the literal 0 plus the input fingerprint that N derives from.
-        from dataclasses import replace
-
-        eff = 32
-        while eff < 4096 and stats["N"] / eff > 31_250:
-            eff *= 2
-        cfg = replace(cfg, n_buckets=eff)
+    exchange -> largest-first merges -> atomic segment swap. ``cfg``
+    carries the resolved ``n_buckets``."""
     segments_dir = out / "segments"
     p3 = PhaseManifest(out, "segments", key)
     if not (resume and p3.is_complete()):
@@ -673,7 +676,7 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
                                  for p in r["path"].split(";"))
         atomic_write_json(out / "segments_manifest.json", {"buckets": rows})
         p3.seal(
-            n_buckets=len(rows),
+            n_buckets=cfg.n_buckets,
             n_postings=sum(r["n_postings"] for r in rows),
             bytes_shuffled=sum(r["bytes_in"] for r in rows),
             bytes_segments=sum(r["bytes_out"] for r in rows),

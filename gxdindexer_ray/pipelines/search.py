@@ -171,15 +171,22 @@ class PhraseAndBooleanMixin:
         """Docstore metadata for a match set, read from the reader's
         snapshot with each generation's tombstoned rows masked. Docstore
         files are doc_id-sorted with row-group stats, so the isin filter
-        resolves to row-group-pruned reads, not scans."""
+        resolves to row-group-pruned reads, not scans. A snapshot with no
+        docstore file (every doc deleted, then compacted) gives an empty
+        table of the requested columns."""
         import pyarrow.compute as pc
         import pyarrow.dataset as pads
 
+        from .build import DOCSTORE_SCHEMA
+
         ids = [int(d) for d in doc_ids]
-        return pa.concat_tables(
-            g.live(pads.dataset(list(g.docs), format="parquet").to_table(
-                columns=["doc_id", *columns], filter=pc.field("doc_id").isin(ids)))
-            for g in self.reader.state.generations if g.docs)
+        cols = ["doc_id", *columns]
+        parts = [g.live(pads.dataset(list(g.docs), format="parquet").to_table(
+                     columns=cols, filter=pc.field("doc_id").isin(ids)))
+                 for g in self.reader.state.generations if g.docs]
+        if not parts:
+            return pa.schema([DOCSTORE_SCHEMA.field(c) for c in cols]).empty_table()
+        return pa.concat_tables(parts)
 
     def _texts_for(self, doc_ids) -> dict[int, str]:
         tbl = self._meta_for(doc_ids, ["text"])

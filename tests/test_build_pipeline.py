@@ -2,6 +2,8 @@
 (a) byte-identical extracted text per url, (b) identical (df, cf, postings)
 per term, (c) rank-identical top-k docIDs and scores."""
 
+from dataclasses import replace
+
 import numpy as np
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -20,7 +22,9 @@ def built(ray_session, pages_1k, tmp_path_factory):
     from gxdindexer_ray.pipelines import build_index
 
     out = tmp_path_factory.mktemp("index") / "ix1k"
-    metrics = build_index(pages_1k, out, CFG)
+    # 32 buckets pinned: the auto layout gives 1k docs one unsharded
+    # bucket, and these tests exist to exercise the hot-term shard path
+    metrics = build_index(pages_1k, out, replace(CFG, n_buckets=32))
     return out, metrics
 
 
@@ -30,6 +34,7 @@ def test_metrics_shape(built):
     assert m["n_postings"] > 10_000
     assert m["bytes_shuffled"] > 0
     assert m["n_hot_terms"] >= 1
+    assert (m["n_buckets"], m["n_shards"]) == (32, 32)
 
 
 def test_text_byte_identical(built, oracle_1k):
@@ -168,8 +173,6 @@ def test_positional_index(ray_session, pages_1k, tmp_path_factory, oracle_1k):
     """store_positions=True: phrase matching runs entirely from the index's
     position streams, identical to both the oracle and the docstore-verify
     path; scoring artifacts are unchanged."""
-    from dataclasses import replace
-
     from gxdindexer_ray.fixtures import generate_queries
     from gxdindexer_ray.pipelines import SearchEngine, build_index
     from gxdindexer_ray.text.tokenize import tokenize

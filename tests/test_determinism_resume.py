@@ -60,7 +60,7 @@ def test_one_hot_sample_rule_for_every_entry_point(ray_session, pages_1k, tmp_pa
     ).cast(pages.schema)
     (tmp_path / "pages").mkdir()
     pq.write_table(pa.concat_tables([pages, later]), tmp_path / "pages" / "part-0.parquet")
-    cfg = replace(CFG, hot_sample_target=300)
+    cfg = replace(CFG, hot_sample_target=300, n_buckets=32)  # a sharded layout
 
     built, filtered, compacted = tmp_path / "b", tmp_path / "f", tmp_path / "c"
     build_index(tmp_path / "pages", built, cfg)
@@ -123,7 +123,8 @@ def test_no_salting_still_correct(ray_session, pages_1k, tmp_path, oracle_1k):
     from gxdindexer_ray.pipelines import SearchEngine, build_index
 
     out = tmp_path / "nosalt"
-    cfg = replace(CFG, hot_df_ratio=1.1)  # nothing qualifies as hot
+    # a sharded layout, so P2 runs, but nothing qualifies as hot
+    cfg = replace(CFG, hot_df_ratio=1.1, n_buckets=32)
     build_index(pages_1k, out, cfg)
     assert read_json(out / "hot_terms.json")["hot_terms"] == []
     eng = SearchEngine(out)
@@ -138,7 +139,7 @@ def test_salting_engages_on_hot_term(ray_session, pages_1k, tmp_path):
     from gxdindexer_ray.pipelines import build_index
 
     out = tmp_path / "salted"
-    build_index(pages_1k, out, CFG)
+    build_index(pages_1k, out, replace(CFG, n_buckets=32))  # 32 shards per hot term
     hot = read_json(out / "hot_terms.json")["hot_terms"]
     assert HOT_TERM in hot
     seg = pads.dataset(str(out / "segments"), format="parquet").to_table(
@@ -188,19 +189,58 @@ def test_rebuild_with_fewer_buckets_leaves_no_stale_segments(ray_session, pages_
 
 
 def test_auto_n_buckets_matches_fixed_at_small_n(ray_session, pages_1k, tmp_path):
-    """n_buckets=0 (auto) resolves from corpus size: at 1k docs the floor
-    of 32 applies, so segments are byte-identical to the explicit-32 build
-    (the auto resolution is content-derived, never parallelism-derived)."""
+    """n_buckets=0 (auto) resolves from corpus size: 1k docs get one
+    bucket, so one shard per term, no P2 scan and an empty hot set, and
+    segments byte-identical to the explicit one-bucket build (the auto
+    resolution is content-derived, never parallelism-derived)."""
     from gxdindexer_ray.pipelines import build_index
 
     a = tmp_path / "auto"
     b = tmp_path / "fixed"
-    build_index(pages_1k, a, replace(CFG, n_buckets=0))
-    build_index(pages_1k, b, replace(CFG, n_buckets=32))
+    m = build_index(pages_1k, a, replace(CFG, n_buckets=0))
+    build_index(pages_1k, b, replace(CFG, n_buckets=1))
     sa, sb = _segment_bytes(a), _segment_bytes(b)
-    assert sa.keys() == sb.keys() and len(sa) >= 32
-    for name in sa:
-        assert sa[name] == sb[name]
+    assert sa == sb and len(sa) == 1
+    for out in (a, b):
+        assert read_json(out / "hot_terms.json") == {"hot_terms": [], "sampled_docs": 0}
+    assert (m["n_buckets"], m["n_shards"], m["n_hot_terms"]) == (1, 1, 0)
+    assert m["phases"]["hotterms"] == 0.0
+
+
+def _floor32_layout(n_docs: int) -> tuple[int, int]:
+    """The auto layout before small generations got fewer buckets: a
+    floor of 32 buckets and 32 shards per hot term at every N."""
+    eff = 32
+    while eff < 4096 and n_docs / eff > 31_250:
+        eff *= 2
+    return eff, 5
+
+
+@pytest.mark.parametrize("n_docs,n_buckets,expected", [
+    (0, 0, (1, 0)), (440, 0, (1, 0)), (4_096, 0, (1, 0)), (4_097, 0, (2, 1)),
+    (65_536, 0, (16, 4)), (65_537, 0, (32, 5)), (2_000_000, 0, (64, 5)),
+    (10**9, 0, (4096, 5)), (10**9, 8, (8, 3)), (440, 8, (8, 3)),
+    (440, 32, (32, 5)), (440, 1, (1, 0)),
+])
+def test_segment_layout_table(n_docs, n_buckets, expected):
+    from gxdindexer_ray.config import segment_layout
+
+    assert segment_layout(n_docs, replace(CFG, n_buckets=n_buckets)) == expected
+
+
+def test_segment_layout_above_65536_docs_is_the_floor32_layout():
+    """Every N > 65,536 keeps the former auto layout, so those builds stay
+    byte-identical: a grid around every bucket-doubling boundary."""
+    from gxdindexer_ray.config import segment_layout
+
+    grid = set(range(65_537, 70_000, 97))
+    for k in range(17, 40):
+        grid.update((2**k - 1, 2**k, 2**k + 1))
+    for k in range(1, 9):
+        grid.update((31_250 * 2**k - 1, 31_250 * 2**k, 31_250 * 2**k + 1))
+    grid.update((10**6, 2 * 10**6, 10**12))
+    for n in sorted(g for g in grid if g > 65_536):
+        assert segment_layout(n, CFG) == _floor32_layout(n), n
 
 
 def test_schema_validation_fails_fast(ray_session, tmp_path):
@@ -242,7 +282,7 @@ def test_merge_slot_split_preserves_index(ray_session, pages_1k, tmp_path, oracl
     cfg = replace(CFG, merge_max_postings=2_000)  # ~60 slot files at 1k docs
     build_index(pages_1k, out, cfg)
     files = list((out / "segments").glob("*.parquet"))
-    assert len(files) > CFG.n_buckets, "slot split did not engage"
+    assert len(files) > 1, "slot split did not engage"  # auto: one bucket
 
     eng = SearchEngine(out)
     stats = oracle_1k.term_stats()

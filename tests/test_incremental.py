@@ -87,6 +87,73 @@ def test_append_topk_identical_both_scorers(appended_and_ref):
             assert hi == hr, (q["query"], method)
 
 
+def test_mixed_layout_lifecycle(corpora, tmp_path):
+    """An index built with a sharded layout stays readable and appendable
+    without a format version: a 32-bucket base (hot terms in 32 shards)
+    plus an auto-layout delta (one unsharded bucket) plus a tombstone
+    answers like the oracle on every scorer path, and compaction leaves
+    the auto layout."""
+    from dataclasses import replace
+
+    import pyarrow.compute as pc
+
+    from gxdindexer_ray.fixtures.pages import HOT_TERM, vocabulary
+    from gxdindexer_ray.index.docid import doc_id_of
+    from gxdindexer_ray.oracle import OracleIndex
+    from gxdindexer_ray.pipelines import (SearchEngine, append_index, build_index,
+                                          compact_index, delete_docs)
+    from gxdindexer_ray.pipelines.search import DocFilter
+    from gxdindexer_ray.text.tokenize import tokenize
+
+    a, b, full, _ = corpora
+    idx = tmp_path / "mixed"
+    assert build_index(a, idx, replace(CFG, n_buckets=32))["n_shards"] == 32
+    m = append_index(b, idx, CFG)
+    assert (m["n_buckets"], m["n_shards"], m["n_hot_terms"]) == (1, 1, 0)
+    assert len(list((idx / "segments").glob("*.parquet"))) == 32
+    assert len(list((idx / "gen-0001" / "segments").glob("*.parquet"))) == 1
+    assert HOT_TERM in read_json(idx / "hot_terms.json")["hot_terms"]
+
+    oracle = OracleIndex.build_from_pages(full)
+    victim = oracle.topk(HOT_TERM, 1)[0][0]
+    delete_docs(idx, [victim])
+    common = vocabulary(7)[:3]
+    queries = [HOT_TERM, f"{HOT_TERM} {common[0]}"] + [
+        q["query"] for q in generate_queries(15, seed=3).to_pylist()]
+    phrases = [" ".join(tokenize(t)[2:4]) for t in list(oracle.text_by_url.values())[::300]]
+    flt = DocFilter("dl>=40", ["dl"], lambda t: pc.greater_equal(t["dl"], 40))
+
+    def check(eng, ix, dead):
+        def want(hits, k=10):  # tombstoned docs count in N and df until compaction
+            return [h for h in hits if h[0] not in dead][:k]
+
+        for q in queries:
+            for method in ("brute", "bmw"):
+                assert eng.topk(q, 10, method) == want(ix.topk(q, ix.N)), (q, method)
+        for must in ([HOT_TERM, common[0]], [common[0], common[1]]):
+            assert eng.boolean_topk(must, 10) == want(ix.boolean_topk(must, ix.N)), must
+        for ph in phrases:
+            exp = want(ix.phrase_topk(ph, ix.N))
+            assert exp and eng.phrase_topk(ph, 10) == exp, ph
+        exp = [h for h in want(ix.topk(HOT_TERM, ix.N), ix.N) if ix.docs[h[0]][1] >= 40][:10]
+        assert exp and eng.filtered_topk(HOT_TERM, 10, doc_filter=flt) == exp
+
+    check(SearchEngine(idx, warm_top_terms=0), oracle, {victim})
+
+    mc = compact_index(idx, CFG)
+    assert (mc["n_buckets"], mc["n_shards"], mc["n_hot_terms"]) == (1, 1, 0)
+    assert len(list((idx / "segments").glob("*.parquet"))) == 1
+    pages = pa.concat_tables(pq.read_table(f) for f in sorted(Path(full).glob("*.parquet")))
+    compacted = OracleIndex.build_from_rows(
+        (u, ts, h) for u, ts, h in zip(pages["url"].to_pylist(),
+                                       pages["warc_ts"].cast(pa.int64()).to_pylist(),
+                                       pages["html"].to_pylist())
+        if doc_id_of(u) != victim)
+    engc = SearchEngine(idx, warm_top_terms=0)
+    assert engc.reader.N == compacted.N == oracle.N - 1
+    check(engc, compacted, set())
+
+
 def test_append_dedups_across_generations(corpora, tmp_path):
     """A delta that re-crawls docs already owned by the base: the base copy
     wins (first-wins across generations), matching a from-scratch build of
@@ -596,6 +663,33 @@ def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
     for q in ("yankee1", "xray", "yankee2 xray"):
         for method in ("brute", "bmw"):
             assert eng.topk(q, 10, method) == oracle.topk(q, 10), (q, method)
+
+
+def test_docstore_paths_on_index_without_docstore(ray_session, tmp_path):
+    """Every doc deleted, then compacted: no generation has a docstore
+    file, and more_like_this and snippets_for return empty results (the
+    docstore read is an empty table of the asked columns)."""
+    from gxdindexer_ray.index.docid import doc_id_of
+    from gxdindexer_ray.pipelines import SearchEngine, build_index, compact_index, delete_docs
+
+    docs = [(f"https://m.example/{i}", f"quince word{i}") for i in range(10)]
+    base = tmp_path / "mb"
+    _mini_corpus(base, docs)
+    idx = tmp_path / "midx"
+    build_index(base, idx, CFG)
+    x = doc_id_of(docs[0][0])
+    assert SearchEngine(idx, warm_top_terms=0).snippets_for([x], ["quince"]) == {x: "quince word0"}
+    delete_docs(idx, [doc_id_of(u) for u, _ in docs])
+    compact_index(idx, CFG)
+
+    eng = SearchEngine(idx, warm_top_terms=0)
+    assert not eng.reader.state.docs
+    assert eng.more_like_this(x) == []
+    assert eng.snippets_for([x], ["quince"]) == {}
+    meta = eng._meta_for([x], ["dl", "url"])
+    assert meta.num_rows == 0
+    assert meta.schema == pa.schema([("doc_id", pa.int64()), ("dl", pa.int64()),
+                                     ("url", pa.string())])
 
 
 def test_snapshot_engine_agrees_across_paths_after_delete(ray_session, tmp_path):
