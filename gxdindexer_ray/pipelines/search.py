@@ -879,8 +879,11 @@ def batch_search(queries_ds, index_dir: str | Path, *, method: str = "auto",
     pool = concurrency or max(1, min(8, ncpu - 1))
     max_actors = pool[1] if isinstance(pool, tuple) else pool
     # a single input block would feed ONE actor no matter the pool size;
-    # split so every actor can pull work (queries are tiny rows)
-    queries_ds = queries_ds.repartition(max_actors * 4)
+    # split so every actor can pull work (queries are tiny rows). Split
+    # before the pool starts: inside the streaming plan the driver waits on
+    # split tasks that need a CPU while the started pool actors hold every
+    # CPU, so a 1-CPU session hung
+    queries_ds = queries_ds.repartition(max_actors * 4).materialize()
     return queries_ds.map_batches(
         _QueryActor,
         fn_constructor_kwargs={"index_dir": str(index_dir), "method": method,

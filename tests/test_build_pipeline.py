@@ -122,6 +122,58 @@ def test_batch_search_matches(built, oracle_1k, ray_session):
         assert sub["score"].tolist() == [s for _, s in expected]
 
 
+_ONE_CPU_BATCH_SEARCH = """
+import json, sys
+import ray, ray.data as rd
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from gxdindexer_ray.fixtures import generate_queries
+from gxdindexer_ray.pipelines import SearchEngine
+from gxdindexer_ray.pipelines.search import batch_search
+q = generate_queries(8, seed=42)
+res = batch_search(rd.from_arrow(q), sys.argv[1]).to_pandas()
+eng = SearchEngine(sys.argv[1], warm_top_terms=0)
+out = []
+for qrow in q.to_pylist():
+    sub = res[res.query_id == qrow["query_id"]].sort_values("rank")
+    out.append([list(zip(sub["doc_id"].tolist(), sub["score"].tolist())),
+                [list(h) for h in eng.topk(qrow["query"], qrow["k"])]])
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+
+def test_batch_search_one_cpu(built):
+    """batch_search finishes on a one-CPU Ray session: the pool actor holds
+    the only CPU, so nothing after it may wait on a CPU task (the query
+    repartition's split ran on the driver and did). Its own session, in a
+    subprocess under a hard timeout, since a hang never returns."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    out, _ = built
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen([sys.executable, "-c", _ONE_CPU_BATCH_SEARCH, str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, start_new_session=True, text=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("batch_search did not finish in 180 s on a 1-CPU Ray session")
+    assert proc.returncode == 0, stderr[-2000:]
+    pairs = json.loads(stdout.strip().splitlines()[-1])
+    assert len(pairs) == 8 and sum(len(got) for got, _ in pairs) > 0
+    for got, want in pairs:
+        assert got == want
+
+
 def test_phrase_and_boolean_match_oracle(built, oracle_1k):
     from gxdindexer_ray.fixtures.pages import HOT_TERM, vocabulary
     from gxdindexer_ray.pipelines import SearchEngine
