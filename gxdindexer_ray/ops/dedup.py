@@ -325,38 +325,14 @@ def minhash_lsh_candidates(ds, *, id_col: str = "doc_id", text_col: str = "text"
     return band_bucket_pairs(sig_ds)
 
 
-def _band_group_bounds(group: pd.DataFrame, with_side: bool):
-    """Shared preamble of the two pair generators: lexsort by
-    (band, bhash[, side], doc), drop consecutive duplicate rows, return
-    the sorted arrays plus (band, bhash)-group start offsets and sizes.
-    Returns None on EMPTY input — exchange() probes fn with a typed
-    empty frame (_apply_empty), and a boolean mask built via np.r_[True,
-    ...] would be length 1 against length-0 arrays."""
-    band = group["band"].to_numpy()
-    bhash = group["bhash"].to_numpy()
-    doc = group["doc"].to_numpy().astype(np.int64)
-    if doc.size == 0:
-        return None
-    if with_side:
-        side = group["side"].to_numpy().astype(np.int8)
-        order = np.lexsort((doc, side, bhash, band))
-    else:
-        side = None
-        order = np.lexsort((doc, bhash, band))
-    band, bhash, doc = band[order], bhash[order], doc[order]
-    keep = (band[1:] != band[:-1]) | (bhash[1:] != bhash[:-1]) \
-        | (doc[1:] != doc[:-1])
-    if with_side:
-        side = side[order]
-        keep = keep | (side[1:] != side[:-1])
-    keep = np.r_[True, keep]
-    band, bhash, doc = band[keep], bhash[keep], doc[keep]
-    if with_side:
-        side = side[keep]
-    gb = np.flatnonzero(np.r_[True, (band[1:] != band[:-1])
-                              | (bhash[1:] != bhash[:-1])])
-    cnt = np.diff(np.r_[gb, band.size])
-    return doc, side, gb, cnt
+def _warn_capped(op: str, what: str, capped: int, max_group: int,
+                 how: str) -> None:
+    if capped:
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "%s: capped %d %s above max_group=%d to %s", op, capped, what,
+            max_group, how)
 
 
 def band_bucket_pairs(sig_ds, n_buckets: int = 64, max_group: int = 512):
@@ -374,63 +350,20 @@ def band_bucket_pairs(sig_ds, n_buckets: int = 64, max_group: int = 512):
     large is one near-dup cluster in practice, so downstream exact-Jaccard
     verification sees representative edges. Capped groups are counted and
     logged per reducer."""
+    from .relational import blocked_pairs, dedup_first, exchange
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # fully vectorized over the bucket (one lexsort + offset algebra):
-        # the groups are OVERWHELMINGLY singletons at crawl scale, so a
-        # per-group Python loop costs more than all the real pair math
-        # (A/B at 200k docs / 3.2M signature rows: 27s -> <2s per stage)
-        empty = pd.DataFrame({"a": [], "b": []}).astype(np.int64)
-        bounds = _band_group_bounds(group, with_side=False)
-        if bounds is None:
-            return empty
-        doc, _, gb, cnt = bounds
-        parts_a: list[np.ndarray] = []
-        parts_b: list[np.ndarray] = []
-        small = (cnt >= 2) & (cnt <= max_group)
-        if small.any():
-            # exact-size upper-triangle emission (never the n*n grid):
-            # one repeat level expands groups into rows (i), a second
-            # expands each row into its n-1-i partners (j > i)
-            s_start, s_n = gb[small], cnt[small]
-            rows = int(s_n.sum())
-            gid_r = np.repeat(np.arange(s_n.size), s_n)
-            i_r = np.arange(rows) - np.repeat(np.cumsum(s_n) - s_n, s_n)
-            rcount = s_n[gid_r] - 1 - i_r
-            total = int(rcount.sum())
-            rid = np.repeat(np.arange(rows), rcount)
-            w = np.arange(total) - np.repeat(np.cumsum(rcount) - rcount,
-                                             rcount)
-            base = s_start[gid_r[rid]]
-            parts_a.append(doc[base + i_r[rid]])
-            parts_b.append(doc[base + i_r[rid] + 1 + w])
-        big = cnt > max_group
-        capped = int(big.sum())
-        if capped:
-            # bounded star+chain (2n-3 pairs): min-doc star preserves
-            # connectivity, consecutive chain keeps local edges
-            b_start, b_n = gb[big], cnt[big]
-            pe = 2 * b_n - 3
-            gid = np.repeat(np.arange(b_n.size), pe)
-            w = np.arange(int(pe.sum())) - np.repeat(np.cumsum(pe) - pe, pe)
-            st, nn = b_start[gid], b_n[gid]
-            is_star = w < nn - 1
-            wc = w - (nn - 1)
-            a_pos = np.where(is_star, st, st + 1 + wc)
-            b_pos = np.where(is_star, st + 1 + w, st + 2 + wc)
-            parts_a.append(doc[a_pos])
-            parts_b.append(doc[b_pos])
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "band_bucket_pairs: capped %d bucket group(s) above "
-                "max_group=%d to star+chain pair emission", capped, max_group)
-        if not parts_a:
-            return empty
-        return pd.DataFrame({"a": np.concatenate(parts_a),
-                             "b": np.concatenate(parts_b)})
-
-    from .relational import dedup_first, exchange
+        # fully vectorized over the bucket (blocked_pairs): the groups are
+        # OVERWHELMINGLY singletons at crawl scale, so a per-group Python
+        # loop costs more than all the real pair math (A/B at 200k docs /
+        # 3.2M signature rows: 27s -> <2s per stage)
+        doc = group["doc"].to_numpy().astype(np.int64)
+        ia, ib, capped = blocked_pairs(
+            (group["band"].to_numpy(), group["bhash"].to_numpy()), doc,
+            max_group=max_group)
+        _warn_capped("band_bucket_pairs", "bucket group(s)", capped,
+                     max_group, "star+chain pair emission")
+        return pd.DataFrame({"a": doc[ia], "b": doc[ib]})
 
     cand = exchange(sig_ds, pairs, mod="bhash", n_buckets=n_buckets)
     return dedup_first(cand, ["a", "b"], ["a", "b"])
@@ -828,41 +761,21 @@ def simhash_near_dup(ds, *, max_hamming: int = 3, bands: int = 4,
     rows = sh.map_batches(explode, batch_format="pyarrow")
 
     def pairs(group: pd.DataFrame, max_group: int = 512) -> pd.DataFrame:
-        out_a, out_b, out_h = [], [], []
-        capped = 0
+        # blocked_pairs over (band, chunk) groups; the hot-group cap is
+        # band_bucket_pairs' star+chain; verification is XOR + popcount
+        doc = group["doc"].to_numpy().astype(np.int64)
+        sh = group["sh"].to_numpy().astype(np.int64).view(np.uint64)
+        ia, ib, capped = blocked_pairs(
+            (group["band"].to_numpy(), group["chunk"].to_numpy()), doc,
+            max_group=max_group)
+        _warn_capped("simhash_near_dup", "chunk group(s)", capped,
+                     max_group, "star+chain pair emission")
+        ham = _popcount64(sh[ia] ^ sh[ib])
+        hit = ham <= max_hamming
+        return pd.DataFrame({"a": doc[ia][hit], "b": doc[ib][hit],
+                             "hamming": ham[hit]})
 
-        def emit(ia: np.ndarray, ib: np.ndarray, va: np.ndarray, vb: np.ndarray):
-            ham = _popcount64(va ^ vb)
-            hit = np.flatnonzero(ham <= max_hamming)
-            out_a.extend(ia[hit].tolist() if ia.ndim else [int(ia)] * hit.size)
-            out_b.extend(ib[hit].tolist())
-            out_h.extend(ham[hit].astype(np.int64).tolist())
-
-        for (_, _), grp in group.groupby(["band", "chunk"], sort=False):
-            if len(grp) < 2:
-                continue
-            g = grp.drop_duplicates("doc").sort_values("doc")
-            ids = g["doc"].to_numpy(np.int64)
-            vals = g["sh"].to_numpy(np.int64).view(np.uint64)
-            n = len(ids)
-            if n > max_group:
-                # hot-bucket cap (see band_bucket_pairs): bounded star+chain
-                # instead of O(n^2) comparisons for a degenerate chunk group
-                capped += 1
-                emit(ids[0], ids[1:], vals[0], vals[1:])
-                emit(ids[1:-1], ids[2:], vals[1:-1], vals[2:])
-                continue
-            for i in range(n - 1):
-                emit(ids[i], ids[i + 1:], vals[i], vals[i + 1:])
-        if capped:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "simhash_near_dup: capped %d chunk group(s) above "
-                "max_group=%d to star+chain pair emission", capped, max_group)
-        return pd.DataFrame({"a": out_a, "b": out_b, "hamming": out_h}).astype(np.int64)
-
-    from .relational import exchange
+    from .relational import blocked_pairs, exchange
     from ray.data.aggregate import Min
 
     cand = exchange(rows, pairs, mod="chunk", n_buckets=64)
@@ -888,41 +801,16 @@ def band_bucket_cross_pairs(sig_ds, n_buckets: int = 64,
     new doc whose true match is outside its R representatives is missed;
     capped groups are counted and logged so a crawl-scale run can see
     when to raise max_group."""
+    from .relational import blocked_pairs, dedup_first, exchange
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # vectorized like band_bucket_pairs: one lexsort with side as a
-        # minor key (side-0 rows lead each group), then offset algebra —
-        # capped groups emit the first `reps` priors against every new
-        # doc, all groups in one pass
-        empty = pd.DataFrame({"a": [], "b": []}).astype(np.int64)
-        bounds = _band_group_bounds(group, with_side=True)
-        if bounds is None:
-            return empty
-        doc, side, gb, cnt = bounds
-        p = np.add.reduceat((side == 0).astype(np.int64), gb)
-        q = cnt - p
-        valid = (p > 0) & (q > 0)
-        if not valid.any():
-            return empty
-        hot = valid & (p * q > max_group)
-        capped = int(hot.sum())
-        reps = np.where(hot, np.minimum(p, np.maximum(
-            1, max_group // np.maximum(q, 1))), p)
-        g_start, g_p, g_q, g_r = gb[valid], p[valid], q[valid], reps[valid]
-        per = g_r * g_q
-        gid = np.repeat(np.arange(per.size), per)
-        w = np.arange(int(per.sum())) - np.repeat(np.cumsum(per) - per, per)
-        a_pos = g_start[gid] + w // g_q[gid]            # first r priors
-        b_pos = g_start[gid] + g_p[gid] + w % g_q[gid]  # every new doc
-        if capped:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "band_bucket_cross_pairs: capped %d group(s) above "
-                "max_group=%d to representative pairing", capped, max_group)
-        return pd.DataFrame({"a": doc[a_pos], "b": doc[b_pos]})
-
-    from .relational import dedup_first, exchange
+        doc = group["doc"].to_numpy().astype(np.int64)
+        ia, ib, capped = blocked_pairs(
+            (group["band"].to_numpy(), group["bhash"].to_numpy()), doc,
+            max_group=max_group, side=group["side"].to_numpy())
+        _warn_capped("band_bucket_cross_pairs", "group(s)", capped,
+                     max_group, "representative pairing")
+        return pd.DataFrame({"a": doc[ia], "b": doc[ib]})
 
     cand = exchange(sig_ds, pairs, mod="bhash", n_buckets=n_buckets)
     return dedup_first(cand, ["a", "b"], ["a", "b"])
@@ -1006,8 +894,8 @@ def jaccard_join(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
     Scale shape: one map pass emits (prefix-hash, doc, set-size) rows —
     O(rows * (1 - tau)) of the shingle stream; ONE hash-keyed exchange
-    groups prefix hashes and emits candidate pairs through the exact-size
-    vectorized triangle, pruned by the size-ratio bound
+    groups prefix hashes and emits candidate pairs through
+    ``blocked_pairs`` (uncapped), pruned by the size-ratio bound
     ``min >= tau * max`` (a J >= tau pair always satisfies it); global
     pair dedup; then the distributed exact verifier
     (verify_pairs_jaccard — partitioned joins of shingle-hash sets, no
@@ -1023,7 +911,7 @@ def jaccard_join(ds, *, id_col: str = "doc_id", text_col: str = "text",
     ``exact_jaccard`` defines J(empty, empty) = 1.0. This matches the q26
     shared-shingle SQL oracle, which can only pair docs that share a
     shingle."""
-    from .relational import _triangle_positions, dedup_first, exchange
+    from .relational import blocked_pairs, dedup_first, exchange
 
     def prefixes(batch: pa.Table) -> pa.Table:
         empty = pa.table({"bhash": pa.array([], pa.int64()),
@@ -1052,31 +940,16 @@ def jaccard_join(ds, *, id_col: str = "doc_id", text_col: str = "text",
             "size": pa.array(counts[sh_doc[keep]].astype(np.int64))})
 
     pref = ds.map_batches(prefixes, batch_format="pyarrow")
-    p_empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                            "b": pd.Series([], dtype=np.int64)})
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return p_empty
-        df = group.sort_values(["bhash", "doc"], kind="mergesort") \
-            .drop_duplicates(["bhash", "doc"])
-        bh = df["bhash"].to_numpy()
-        doc = df["doc"].to_numpy(np.int64)
-        sz = df["size"].to_numpy(np.int64)
-        starts = np.flatnonzero(np.r_[True, bh[1:] != bh[:-1]]).astype(np.int64)
-        counts = np.diff(np.r_[starts, bh.size]).astype(np.int64)
-        pi, pj = _triangle_positions(starts, counts)
-        if pi.size == 0:
-            return p_empty
-        a, b = doc[pi], doc[pj]
-        sa, sb = sz[pi], sz[pj]
+        doc = group["doc"].to_numpy().astype(np.int64)
+        sz = group["size"].to_numpy().astype(np.int64)
+        ia, ib, _ = blocked_pairs(group["bhash"].to_numpy(), doc)
         # size-ratio prune (exactness-safe: every J >= tau pair passes)
+        sa, sb = sz[ia], sz[ib]
         ok = np.minimum(sa, sb) >= threshold * np.maximum(sa, sb) - 1e-9
-        if not ok.any():
-            return p_empty
-        out = pd.DataFrame({"a": np.minimum(a, b)[ok],
-                            "b": np.maximum(a, b)[ok]})
-        return out.drop_duplicates()
+        return pd.DataFrame({"a": doc[ia][ok], "b": doc[ib][ok]}) \
+            .drop_duplicates()
 
     cand = dedup_first(exchange(pref, pairs, mod="bhash", n_buckets=n_buckets),
                        ["a", "b"], ["a", "b"])

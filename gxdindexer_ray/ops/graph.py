@@ -305,13 +305,13 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
     Wholly distributed: canonical distinct edges (one dedup exchange),
     degree counts (partial/final aggregate), two degree-attach
     partitioned joins, ONE apex-keyed exchange emitting wedge partials
-    via the exact-size vectorized triangle (no per-node Python, never the
-    d^2 grid for capped groups), and ONE two-sided pair-keyed exchange
-    closing wedges against the oriented edge set. The driver sees one
-    int per closure bucket. Returns a 1-row DataFrame {n_triangles}."""
+    via ``blocked_pairs`` (no per-node Python, never the d^2 grid), and
+    ONE two-sided pair-keyed exchange closing wedges against the oriented
+    edge set. The driver sees one int per closure bucket. Returns a 1-row
+    DataFrame {n_triangles}."""
     import pyarrow as pa
 
-    from .relational import (_triangle_positions, arrow_refs, dedup_first,
+    from .relational import (arrow_refs, blocked_pairs, dedup_first,
                              exchange, partitioned_join)
 
     def canon(t: pa.Table) -> pa.Table:
@@ -372,20 +372,15 @@ def triangle_count(edges_ds, *, src: str = "src", dst: str = "dst",
                             "cnt": pd.Series([], dtype=np.int64)})
 
     def mk_wedges(df: pd.DataFrame) -> pd.DataFrame:
-        # out-neighborhoods sorted in the SAME (deg, id) total order the
+        # out-neighborhoods ordered by the SAME (deg, id) total order the
         # orientation used, so every wedge (a, b) has a ≺ b and matches
         # the oriented closing edge exactly
-        df = df.sort_values(["s", "t_deg", "t"], kind="mergesort")
-        sa = df["s"].to_numpy()
         ta = df["t"].to_numpy()
-        if sa.size == 0:
+        ia, ib, _ = blocked_pairs(df["s"].to_numpy(),
+                                  (df["t_deg"].to_numpy(), ta))
+        if ia.size == 0:
             return w_empty
-        starts = np.flatnonzero(np.r_[True, sa[1:] != sa[:-1]]).astype(np.int64)
-        counts = np.diff(np.r_[starts, sa.size]).astype(np.int64)
-        pi, pj = _triangle_positions(starts, counts)
-        if pi.size == 0:
-            return w_empty
-        out = pd.DataFrame({"a": ta[pi], "b": ta[pj]})
+        out = pd.DataFrame({"a": ta[ia], "b": ta[ib]})
         return (out.groupby(["a", "b"], sort=False)
                 .size().reset_index(name="cnt"))
 

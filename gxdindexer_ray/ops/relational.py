@@ -1484,10 +1484,7 @@ def interval_overlap_join(left, right, *, left_cols: tuple[str, str],
             # zero-width intervals whose start sits ON a cutpoint would
             # get hi < lo; they still match the documented predicate, so
             # pin them to their start's span
-            reps = np.maximum(hi - lo + 1, 1)
-            rid = np.repeat(np.arange(t.num_rows), reps)
-            w = np.arange(int(reps.sum())) - np.repeat(
-                np.cumsum(reps) - reps, reps)
+            rid, w = _ragged(np.maximum(hi - lo + 1, 1))
             rng = lo[rid] + w
             rep = t.take(pa.array(rid, pa.int64()))
             cols = {}
@@ -1578,9 +1575,8 @@ def interval_overlap_join(left, right, *, left_cols: tuple[str, str],
         m = counts > 0
         if not m.any():
             return empty
-        lidx = np.repeat(np.flatnonzero(m), counts[m])
-        w = np.arange(int(counts[m].sum())) - np.repeat(
-            np.cumsum(counts[m]) - counts[m], counts[m])
+        g, w = _ragged(counts[m])
+        lidx = np.flatnonzero(m)[g]
         ridx = lo[lidx] + w
         keep = r_end[ridx] > l_start[lidx]
         # owner-range rule: emit only where max(starts) falls in this rng
@@ -1605,30 +1601,106 @@ def interval_overlap_join(left, right, *, left_cols: tuple[str, str],
 
 
 # ---------------------------------------------------------------------------
-# grouped co-occurrence (market-basket pair counting)
+# blocked pairs: the one candidate-pair kernel of every similarity join
 # ---------------------------------------------------------------------------
 
 
-def _triangle_positions(starts: np.ndarray, counts: np.ndarray):
-    """Exact-size upper-triangle enumeration over contiguous groups of a
-    sorted array: returns (pos_i, pos_j) index arrays covering every
-    within-group ordered pair (i < j) — never the n*n grid. Same offset
-    algebra as the LSH candidate generator (ops/dedup.py
-    band_bucket_pairs), lifted to positions so any payload dtype works."""
-    sel = counts >= 2
-    if not sel.any():
-        e = np.empty(0, np.int64)
-        return e, e
-    s, n = starts[sel], counts[sel]
-    rows = int(n.sum())
-    gid_r = np.repeat(np.arange(n.size), n)
-    i_r = np.arange(rows) - np.repeat(np.cumsum(n) - n, n)
-    rcount = n[gid_r] - 1 - i_r
-    total = int(rcount.sum())
-    rid = np.repeat(np.arange(rows), rcount)
-    w = np.arange(total) - np.repeat(np.cumsum(rcount) - rcount, rcount)
-    base = s[gid_r[rid]]
-    return base + i_r[rid], base + i_r[rid] + 1 + w
+def _ragged(counts: np.ndarray):
+    """(owner, offset) of every slot when owner i holds counts[i] slots:
+    the repeat/cumsum expansion, never a per-owner Python loop."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
+                                                    counts)
+
+
+def _columns(x) -> list:
+    return list(x) if isinstance(x, tuple) else [x]
+
+
+def _group_bounds(keys, order=()):
+    """Sort rows by (keys, order) — stable, so among rows repeating one
+    (keys, order) value the first in input order stays and the rest are
+    dropped — and cut groups where ``keys`` change. ``keys`` and ``order``
+    are one array or a tuple of equal-length arrays (any sortable dtype).
+    Returns (rows, starts, counts): the input row index of every kept
+    row in sorted order, and each group's start offset and size in it."""
+    keys, order = _columns(keys), _columns(order)
+    rows = np.lexsort((keys + order)[::-1])
+    if rows.size == 0:
+        return rows, rows, rows
+    new_key = np.zeros(rows.size - 1, bool)
+    for c in keys:
+        c = c[rows]
+        new_key |= c[1:] != c[:-1]
+    new_row = new_key.copy()
+    for c in order:
+        c = c[rows]
+        new_row |= c[1:] != c[:-1]
+    keep = np.r_[True, new_row]
+    starts = np.flatnonzero(np.r_[True, new_key][keep])
+    rows = rows[keep]
+    return rows, starts, np.diff(np.r_[starts, rows.size])
+
+
+def blocked_pairs(keys, order=(), *, max_group: int | None = None,
+                  side: np.ndarray | None = None):
+    """Candidate pairs of a blocked join: rows sharing a block key pair
+    up; each caller prunes and verifies the pairs with its own bound.
+
+    Rows are grouped and deduplicated by ``_group_bounds(keys, order)``.
+    Self mode (``side`` None): every in-group pair (i, j) with i before
+    j in ``order`` — the exact-size upper triangle, never the n*n grid.
+    A hot group above ``max_group`` rows emits a bounded star+chain
+    instead: its first row paired with every other, plus consecutive
+    neighbours (2n-3 pairs). The star keeps the group connected for
+    connected-components consumers; the chain keeps local edges.
+
+    Cross mode (``side`` a 0/1 array, ordered before ``order``): side-0
+    rows pair with side-1 rows only. A group whose p x q cross product
+    exceeds ``max_group`` pairs its first ``max(1, max_group // q)``
+    side-0 rows with every side-1 row, so each side-1 row keeps several
+    representatives (one would turn a bucket holding two clusters into
+    silent misses).
+
+    Returns (ia, ib, capped): input row indices of each pair's two rows
+    (ia is the side-0 row in cross mode) and the number of capped groups.
+    ``max_group`` None never caps."""
+    cap = np.iinfo(np.int64).max if max_group is None else max_group
+    if side is not None:
+        order = (side, *_columns(order))
+    rows, starts, n = _group_bounds(keys, order)
+    if side is not None:
+        p = np.add.reduceat((side[rows] == 0).astype(np.int64), starts) \
+            if rows.size else n
+        q = n - p
+        valid = (p > 0) & (q > 0)
+        hot = valid & (p * q > cap)
+        r = np.where(hot, np.minimum(p, np.maximum(1, cap // np.maximum(q, 1))),
+                     p)
+        st, p, q, r = starts[valid], p[valid], q[valid], r[valid]
+        g, w = _ragged(r * q)
+        ia = st[g] + w // q[g]            # the first r side-0 rows
+        ib = st[g] + p[g] + w % q[g]      # every side-1 row
+        return rows[ia], rows[ib], int(hot.sum())
+    small = (n >= 2) & (n <= cap)
+    st, sn = starts[small], n[small]
+    g, i = _ragged(sn)                    # one slot per row (i) of a group
+    r, w = _ragged(sn[g] - 1 - i)         # one slot per later partner (j > i)
+    tri_a = st[g[r]] + i[r]
+    tri_b = tri_a + 1 + w
+    big = (n >= 2) & (n > cap)
+    st, sn = starts[big], n[big]
+    g, w = _ragged(2 * sn - 3)            # n-1 star slots, then n-2 chain
+    star = w < sn[g] - 1
+    chain = w - (sn[g] - 1)
+    ia = np.concatenate([tri_a, np.where(star, st[g], st[g] + 1 + chain)])
+    ib = np.concatenate([tri_b, np.where(star, st[g] + 1 + w, st[g] + 2 + chain)])
+    return rows[ia], rows[ib], int(big.sum())
+
+
+# ---------------------------------------------------------------------------
+# grouped co-occurrence (market-basket pair counting)
+# ---------------------------------------------------------------------------
 
 
 def key_cooccurrence(ds, group_col: str, item_col: str, *,
@@ -1649,9 +1721,9 @@ def key_cooccurrence(ds, group_col: str, item_col: str, *,
       180M triangle rows that this path replaces with ~8 small BLAS
       calls per bucket). Slab products are exact in float32 (<= 4096 <
       2^24) and accumulate exactly in float64 (< 2^53).
-    - larger vocabularies: the exact-size vectorized triangle (no
-      per-group Python loop, no n*n grid) — pair volume is sum(m_g^2)
-      over group item-set sizes, bounded by the vocabulary.
+    - larger vocabularies: ``blocked_pairs`` (no per-group Python loop,
+      no n*n grid) — pair volume is sum(m_g^2) over group item-set
+      sizes, bounded by the vocabulary.
 
     Per-bucket partial pair counts sum in a final small aggregate
     (groups are disjoint across buckets, so partials never
@@ -1672,41 +1744,38 @@ def key_cooccurrence(ds, group_col: str, item_col: str, *,
         # in-batch distinct is per-batch only — finish it here; null
         # groups/items can never satisfy a SQL equi-self-join, and
         # np.unique can't order None among strings — drop both
-        df = df.dropna(subset=[group_col, item_col]) \
-            .drop_duplicates([group_col, item_col])
+        df = df.dropna(subset=[group_col, item_col])
         if df.empty:
             return empty
-        df = df.sort_values([group_col, item_col], kind="mergesort")
         g = df[group_col].to_numpy()
         items = df[item_col].to_numpy()
-        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]]).astype(np.int64)
-        counts = np.diff(np.r_[starts, g.size]).astype(np.int64)
         uniq = np.unique(items)
-        if uniq.size <= dense_items_cap:
-            n_items = int(uniq.size)
-            codes = np.searchsorted(uniq, items)
-            gid = np.repeat(np.arange(starts.size), counts)
-            c_mat = np.zeros((n_items, n_items), np.float64)
-            slab = 4096
-            for s0 in range(0, starts.size, slab):
-                s1 = min(s0 + slab, starts.size)
-                r0 = starts[s0]
-                r1 = starts[s1] if s1 < starts.size else g.size
-                m = np.zeros((s1 - s0, n_items), np.float32)
-                m[gid[r0:r1] - s0, codes[r0:r1]] = 1.0
-                c_mat += (m.T @ m).astype(np.float64)
-            iu, ju = np.triu_indices(n_items, 1)
-            cnt = c_mat[iu, ju]
-            nz = cnt > 0
-            return pd.DataFrame({"item_a": uniq[iu[nz]],
-                                 "item_b": uniq[ju[nz]],
-                                 "n_groups": cnt[nz].astype(np.int64)})
-        pi, pj = _triangle_positions(starts, counts)
-        if pi.size == 0:
-            return empty
-        out = pd.DataFrame({"item_a": items[pi], "item_b": items[pj]})
-        return (out.groupby(["item_a", "item_b"], sort=False)
-                .size().reset_index(name="n_groups"))
+        if uniq.size > dense_items_cap:
+            ia, ib, _ = blocked_pairs(g, items)
+            if ia.size == 0:
+                return empty
+            out = pd.DataFrame({"item_a": items[ia], "item_b": items[ib]})
+            return (out.groupby(["item_a", "item_b"], sort=False)
+                    .size().reset_index(name="n_groups"))
+        rows, starts, counts = _group_bounds(g, items)
+        n_items = int(uniq.size)
+        codes = np.searchsorted(uniq, items[rows])
+        gid = np.repeat(np.arange(starts.size), counts)
+        c_mat = np.zeros((n_items, n_items), np.float64)
+        slab = 4096
+        for s0 in range(0, starts.size, slab):
+            s1 = min(s0 + slab, starts.size)
+            r0 = starts[s0]
+            r1 = starts[s1] if s1 < starts.size else rows.size
+            m = np.zeros((s1 - s0, n_items), np.float32)
+            m[gid[r0:r1] - s0, codes[r0:r1]] = 1.0
+            c_mat += (m.T @ m).astype(np.float64)
+        iu, ju = np.triu_indices(n_items, 1)
+        cnt = c_mat[iu, ju]
+        nz = cnt > 0
+        return pd.DataFrame({"item_a": uniq[iu[nz]],
+                             "item_b": uniq[ju[nz]],
+                             "n_groups": cnt[nz].astype(np.int64)})
 
     part = exchange(pairs, per_bucket, keys=[group_col], n_buckets=n_buckets)
     return pre_aggregate(part, ["item_a", "item_b"],

@@ -1483,7 +1483,7 @@ def edit_distance_join(ds, *, id_col: str = "doc_id", str_col: str = "key",
     call site). Variant generation is vectorized BY DELETION POSITION
     (<= key-length Arrow kernel sweeps per level, no per-row Python); ONE
     variant-hash exchange groups candidates; within a group, pairs come
-    from the exact-size triangle, pruned by |len_a - len_b| <= max_dist,
+    from ``blocked_pairs`` (uncapped), pruned by |len_a - len_b| <= max_dist,
     deduped per (a, b), and verified with a memoized full-row Levenshtein
     DP with a row-minimum early exit (``_lev_within``; not banded) — the
     only per-pair Python, bounded by the candidate count, not the corpus.
@@ -1495,7 +1495,7 @@ def edit_distance_join(ds, *, id_col: str = "doc_id", str_col: str = "key",
     rows sharing an id with different keys keep whichever key arrives
     first and the result depends on input order."""
     from ..index.docid import blake2b_rows
-    from .relational import _triangle_positions, dedup_first
+    from .relational import blocked_pairs, dedup_first
 
     def variants(batch: pa.Table) -> pa.Table:
         empty = pa.table({"vhash": pa.array([], pa.int64()),
@@ -1555,27 +1555,15 @@ def edit_distance_join(ds, *, id_col: str = "doc_id", str_col: str = "key",
                             "dist": pd.Series([], dtype=np.int64)})
 
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return p_empty
-        g = group.drop_duplicates(["vhash", "id"]) \
-            .sort_values(["vhash", "id"], kind="mergesort")
-        vh = g["vhash"].to_numpy()
-        ids_ = g["id"].to_numpy(np.int64)
-        ss = g["s"].to_numpy(object)
-        starts = np.flatnonzero(np.r_[True, vh[1:] != vh[:-1]]).astype(np.int64)
-        counts = np.diff(np.r_[starts, vh.size]).astype(np.int64)
-        pi, pj = _triangle_positions(starts, counts)
-        if pi.size == 0:
-            return p_empty
-        a, b = ids_[pi], ids_[pj]
-        ok = a != b
+        ids_ = group["id"].to_numpy().astype(np.int64)
+        ss = group["s"].to_numpy(object)
+        ia, ib, _ = blocked_pairs(group["vhash"].to_numpy(), ids_)
         lens = np.fromiter((len(x) for x in ss), np.int64, ss.size)
-        ok &= np.abs(lens[pi] - lens[pj]) <= max_dist
+        ok = np.abs(lens[ia] - lens[ib]) <= max_dist
         if not ok.any():
             return p_empty
-        cand = pd.DataFrame({"a": np.minimum(a, b)[ok],
-                             "b": np.maximum(a, b)[ok],
-                             "sa": ss[pi][ok], "sb": ss[pj][ok]}) \
+        cand = pd.DataFrame({"a": ids_[ia][ok], "b": ids_[ib][ok],
+                             "sa": ss[ia][ok], "sb": ss[ib][ok]}) \
             .drop_duplicates(["a", "b"])
         memo: dict[tuple, int] = {}
         dist = np.empty(len(cand), dtype=np.int64)

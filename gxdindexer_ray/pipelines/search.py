@@ -14,22 +14,9 @@ import pyarrow as pa
 
 from ..index.layout import Generation, IndexState, as_state
 from ..index.reader import IndexReader
-from ..query.brute import brute_force_topk
+from ..query.brute import brute_force_topk, decoded
 from ..query.wand import block_max_wand_topk
 from ..text.tokenize import tokenize
-
-
-def _decoded(rows: list[dict], block_size: int):
-    from ..codecs.postings import decode_postings
-
-    out = []
-    for r in sorted(rows, key=lambda r: int(r["shard"])):
-        pl = r.get("_pl")
-        if pl is None:
-            pl = decode_postings(r, block_size=block_size)
-            r["_pl"] = pl
-        out.append(pl)
-    return out
 
 
 class PhraseAndBooleanMixin:
@@ -67,7 +54,7 @@ class PhraseAndBooleanMixin:
             return np.empty(0, dtype=np.uint64)  # some term matches nothing
         sets = []
         for t, rows in term_rows.items():
-            pls = _decoded(rows, self.reader.block_size)
+            pls = decoded(rows, self.reader.block_size)
             sets.append(np.concatenate([pl.doc_ids for pl in pls]))
         sets.sort(key=len)
         cand = sets[0]
@@ -89,7 +76,7 @@ class PhraseAndBooleanMixin:
         cand = self._candidate_docs(must)
         if cand.size and must_not:
             for t, rows in self.reader.fetch_terms(sorted(set(must_not))).items():
-                excl = np.concatenate([pl.doc_ids for pl in _decoded(rows, self.reader.block_size)])
+                excl = np.concatenate([pl.doc_ids for pl in decoded(rows, self.reader.block_size)])
                 cand = np.setdiff1d(cand, excl, assume_unique=True)
         if cand.size == 0:
             return []
@@ -143,7 +130,7 @@ class PhraseAndBooleanMixin:
         for t, rows in term_rows.items():
             parts = []
             for r, pl in zip(sorted(rows, key=lambda r: int(r["shard"])),
-                             _decoded(rows, self.reader.block_size)):
+                             decoded(rows, self.reader.block_size)):
                 off, pos = decode_positions(r, pl)
                 parts.append((pl.doc_ids, off, pos))
             per_term[t] = parts
@@ -483,7 +470,7 @@ class ServingFeaturesMixin:
             return np.empty(0, dtype=np.uint64)
         term_rows = self.reader.fetch_terms(sorted(set(terms)))
         sets = [pl.doc_ids for rows in term_rows.values()
-                for pl in _decoded(rows, self.reader.block_size)]
+                for pl in decoded(rows, self.reader.block_size)]
         if not sets:
             return np.empty(0, dtype=np.uint64)
         return np.unique(np.concatenate(sets))

@@ -19,6 +19,44 @@ def term_rows_df(rows: list[dict]) -> int:
     return sum(int(r["n_postings"]) for r in rows)
 
 
+def decoded(rows: list[dict], block_size: int) -> list:
+    """One term's decoded posting lists in shard order, memoized on each
+    segment row (``_pl``; rows are LRU-cached by the reader)."""
+    out = []
+    for r in sorted(rows, key=lambda r: int(r["shard"])):
+        pl = r.get("_pl")
+        if pl is None:
+            pl = r["_pl"] = decode_postings(r, block_size=block_size)
+        out.append(pl)
+    return out
+
+
+def _weighted_postings(term_rows: dict[str, list[dict]], N: int,
+                       block_size: int, boosts: dict[str, float] | None):
+    """(idf weight, decoded posting list) in (term asc, shard asc) order —
+    the accumulation order both scorers share."""
+    for term in sorted(term_rows):
+        rows = term_rows[term]
+        df = term_rows_df(rows)
+        if df == 0:
+            continue
+        w = idf(N, df) * (boosts.get(term, 1.0) if boosts else 1.0)
+        for pl in decoded(rows, block_size):
+            yield w, pl
+
+
+def _rank(docs: list[np.ndarray], scores: list[np.ndarray],
+          k: int) -> list[tuple[int, float]]:
+    """Sum contributions per doc in list order, rank (score desc, doc asc)."""
+    if not docs:
+        return []
+    uniq, inv = np.unique(np.concatenate(docs), return_inverse=True)
+    acc = np.zeros(uniq.size, dtype=np.float64)
+    np.add.at(acc, inv, np.concatenate(scores))  # in-order, matches oracle accumulation
+    order = np.lexsort((uniq, -acc))[:k]
+    return [(int(uniq[i]), float(acc[i])) for i in order]
+
+
 def brute_force_topk(
     term_rows: dict[str, list[dict]],
     *,
@@ -33,31 +71,12 @@ def brute_force_topk(
     """term_rows: term -> segment rows (its shards). Returns [(doc_id, score)]
     ranked by (score desc, doc_id asc). ``boosts`` multiplies a term's idf
     weight (the reference's per-field boost, shr/SolrUtils.java:13-27)."""
-    all_docs: list[np.ndarray] = []
-    all_scores: list[np.ndarray] = []
-    for term in sorted(term_rows):
-        rows = sorted(term_rows[term], key=lambda r: int(r["shard"]))
-        df = term_rows_df(rows)
-        if df == 0:
-            continue
-        w = idf(N, df) * (boosts.get(term, 1.0) if boosts else 1.0)
-        for r in rows:
-            pl = r.get("_pl")  # decoded-postings memo (rows are LRU-cached by the reader)
-            if pl is None:
-                pl = decode_postings(r, block_size=block_size)
-                r["_pl"] = pl
-            contrib = w * bm25_tf_factor(pl.tfs, pl.dls, avgdl, k1, b)
-            all_docs.append(pl.doc_ids.astype(np.int64))
-            all_scores.append(contrib)
-    if not all_docs:
-        return []
-    docs = np.concatenate(all_docs)
-    scores = np.concatenate(all_scores)
-    uniq, inv = np.unique(docs, return_inverse=True)
-    acc = np.zeros(uniq.size, dtype=np.float64)
-    np.add.at(acc, inv, scores)  # in-order, matches oracle accumulation
-    order = np.lexsort((uniq, -acc))[:k]
-    return [(int(uniq[i]), float(acc[i])) for i in order]
+    docs: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
+    for w, pl in _weighted_postings(term_rows, N, block_size, boosts):
+        docs.append(pl.doc_ids.astype(np.int64))
+        scores.append(w * bm25_tf_factor(pl.tfs, pl.dls, avgdl, k1, b))
+    return _rank(docs, scores, k)
 
 
 def candidate_topk(
@@ -82,37 +101,18 @@ def candidate_topk(
     cand = np.unique(np.asarray(cand, dtype=np.uint64))
     if cand.size == 0:
         return []
-    all_docs: list[np.ndarray] = []
-    all_scores: list[np.ndarray] = []
-    for term in sorted(term_rows):
-        rows = sorted(term_rows[term], key=lambda r: int(r["shard"]))
-        df = term_rows_df(rows)
-        if df == 0:
+    docs: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
+    for w, pl in _weighted_postings(term_rows, N, block_size, boosts):
+        ids = pl.doc_ids
+        if ids.size == 0:  # every posting tombstoned
             continue
-        w = idf(N, df) * (boosts.get(term, 1.0) if boosts else 1.0)
-        for r in rows:
-            pl = r.get("_pl")
-            if pl is None:
-                pl = decode_postings(r, block_size=block_size)
-                r["_pl"] = pl
-            ids = pl.doc_ids
-            if ids.size == 0:  # every posting tombstoned
-                continue
-            pos = np.searchsorted(ids, cand)
-            pos_c = np.minimum(pos, ids.size - 1)
-            valid = (pos < ids.size) & (ids[pos_c] == cand)
-            if not valid.any():
-                continue
-            sel = pos[valid]
-            contrib = w * bm25_tf_factor(pl.tfs[sel], pl.dls[sel], avgdl, k1, b)
-            all_docs.append(cand[valid].astype(np.int64))
-            all_scores.append(contrib)
-    if not all_docs:
-        return []
-    docs = np.concatenate(all_docs)
-    scores = np.concatenate(all_scores)
-    uniq, inv = np.unique(docs, return_inverse=True)
-    acc = np.zeros(uniq.size, dtype=np.float64)
-    np.add.at(acc, inv, scores)
-    order = np.lexsort((uniq, -acc))[:k]
-    return [(int(uniq[i]), float(acc[i])) for i in order]
+        pos = np.searchsorted(ids, cand)
+        pos_c = np.minimum(pos, ids.size - 1)
+        valid = (pos < ids.size) & (ids[pos_c] == cand)
+        if not valid.any():
+            continue
+        sel = pos[valid]
+        docs.append(cand[valid].astype(np.int64))
+        scores.append(w * bm25_tf_factor(pl.tfs[sel], pl.dls[sel], avgdl, k1, b))
+    return _rank(docs, scores, k)

@@ -270,10 +270,10 @@ def test_positional_index(ray_session, pages_1k, tmp_path_factory, oracle_1k):
 
     term = sorted(oracle_1k.postings)[50]
     rows = eng.reader.fetch_terms([term])[term]
-    from gxdindexer_ray.pipelines.search import _decoded
+    from gxdindexer_ray.query.brute import decoded
 
     url_of = {d: u for d, (u, _) in oracle_1k.docs.items()}
-    for r, pl in zip(sorted(rows, key=lambda r: r["shard"]), _decoded(rows, CFG.block_size)):
+    for r, pl in zip(sorted(rows, key=lambda r: r["shard"]), decoded(rows, CFG.block_size)):
         off, pos = decode_positions(r, pl)
         for i, did in enumerate(pl.doc_ids[:20]):
             toks = tokenize(oracle_1k.text_by_url[url_of[int(did)]])

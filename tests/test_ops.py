@@ -556,7 +556,7 @@ def test_simhash_near_dup_hamming_buckets(ray_session):
     hamming < bands); unrelated docs must not."""
     import pyarrow as pa
     import ray.data as rd
-    from gxdindexer_ray.ops.dedup import simhash_near_dup
+    from gxdindexer_ray.ops.dedup import simhash, simhash_near_dup
 
     base = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
             "lambda mu nu xi omicron pi rho sigma tau upsilon ") * 5
@@ -575,6 +575,58 @@ def test_simhash_near_dup_hamming_buckets(ray_session):
     got = set(zip(out["a"], out["b"]))
     assert (0, 1) in got and (0, 2) in got
     assert not any(3 in p or 4 in p for p in got)
+    sh = simhash(ds).to_pandas()
+    _assert_brute_simhash_pairs(out, sh["doc_id"], sh["simhash"], 3)
+
+
+def _assert_brute_simhash_pairs(out, ids, vals, max_hamming):
+    """``out`` equals brute-force all-pairs popcount <= max_hamming:
+    the same (a, b) pairs (a < b) with the same hamming values."""
+    ids = np.asarray(ids, np.int64)
+    vals = np.asarray(vals, np.int64)
+    i, j = np.triu_indices(ids.size, 1)
+    x = vals[i] ^ vals[j]
+    ham = np.array([bin(int(v)).count("1") for v in x], np.int64)
+    hit = ham <= max_hamming
+    exp = pd.DataFrame({"a": np.minimum(ids[i], ids[j])[hit],
+                        "b": np.maximum(ids[i], ids[j])[hit],
+                        "hamming": ham[hit]}) \
+        .sort_values(["a", "b"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(out.reset_index(drop=True), exp,
+                                  check_dtype=False)
+
+
+def test_simhash_near_dup_exact_pair_set(ray_session, monkeypatch):
+    """The vectorized chunk-group pair generator finds exactly the
+    brute-force pair set on planted fingerprints, one chunk group above
+    the 512-doc cap included. Its members differ at random above their
+    shared band-0 chunk; the near-dups planted among them also share a
+    band-3 chunk, so the star+chain cap loses none of them."""
+    import ray.data as rd
+
+    from gxdindexer_ray.ops import dedup
+
+    rng = np.random.default_rng(11)
+    hot = (rng.integers(0, 1 << 47, 600) << 16) | 0xBEEF    # 600 > 512
+    cold = rng.integers(0, np.iinfo(np.int64).max, 300)
+
+    def flip(v, lo, hi):
+        # 0-3 distinct bit flips inside bits [lo, hi)
+        for bit in rng.choice(np.arange(lo, hi), rng.integers(0, 4),
+                              replace=False):
+            v = v ^ (1 << int(bit))
+        return v
+
+    near_hot = [flip(int(v), 16, 48) for v in hot[:40]]     # bands 1-2
+    near_cold = [flip(int(v), 0, 63) for v in cold[:60]]
+    far_cold = [int(v) ^ 0b1111 << 20 for v in cold[60:70]]  # 4 bits: no pair
+    vals = np.array([*hot, *cold, *near_hot, *near_cold, *far_cold], np.int64)
+    ids = rng.permutation(vals.size).astype(np.int64) * 3 + 1
+    ds = rd.from_pandas(pd.DataFrame({"doc_id": ids, "simhash": vals}))
+    monkeypatch.setattr(dedup, "simhash", lambda ds, **kw: ds)
+    out = dedup.simhash_near_dup(ds, max_hamming=3)
+    assert len(out) >= 100
+    _assert_brute_simhash_pairs(out, ids, vals, 3)
 
 
 def test_hash_exchange_apply_group_integrity(ray_session):

@@ -54,13 +54,26 @@ SQL_CASES = [(n, fn, sql) for n, (fn, sql) in CATALOG.items() if sql is not None
 NOSQL_CASES = [(n, fn) for n, (fn, sql) in CATALOG.items() if sql is None]
 
 
-@pytest.mark.parametrize("name,fn,sql", SQL_CASES, ids=[c[0] for c in SQL_CASES])
-def test_query_matches_oracle(name, fn, sql, con, ray_session):
-    got = _canon(_to_pandas(fn(SF_DIR)))
-    exp = _canon(con.sql(sql).df())
+def _assert_matches(name: str, got: pd.DataFrame, exp: pd.DataFrame) -> None:
+    """Exact compare after _canon; dtypes must agree too (int64 vs
+    float64 fails, as in the driver's typed hash)."""
+    got, exp = _canon(got), _canon(exp)
     assert list(got.columns) == list(exp.columns), f"{name}: column names differ"
     assert len(got) == len(exp), f"{name}: row count {len(got)} != {len(exp)}"
-    pd.testing.assert_frame_equal(got, exp, check_dtype=False, check_exact=True)
+    pd.testing.assert_frame_equal(got, exp, check_dtype=True, check_exact=True)
+
+
+def test_compare_is_dtype_strict():
+    exp = pd.DataFrame({"k": np.array([2, 1], np.int32), "v": [1.5, 2.5]})
+    _assert_matches("same", exp.iloc[::-1], exp)
+    bad = exp.assign(k=exp["k"].astype(np.float64))
+    with pytest.raises(AssertionError, match="dtype"):
+        _assert_matches("int-vs-float", bad, exp)
+
+
+@pytest.mark.parametrize("name,fn,sql", SQL_CASES, ids=[c[0] for c in SQL_CASES])
+def test_query_matches_oracle(name, fn, sql, con, ray_session):
+    _assert_matches(name, _to_pandas(fn(SF_DIR)), con.sql(sql).df())
 
 
 @pytest.mark.parametrize("name,fn", NOSQL_CASES, ids=[c[0] for c in NOSQL_CASES])
