@@ -14,7 +14,10 @@ the reference delegated to Solr, reference Indexer.java:55-91):
 - **Postings (on disk, row-group granular)**: payload columns are read only
   for the row groups containing the query terms (segments are written with
   row_group_size=256 — index/merge.py — keeping the read unit small);
-  decoded rows are LRU-cached.
+  decoded rows are LRU-cached. A fetch reads only the columns the scorers
+  decode (``SCORER_COLUMNS``); the skip table and block-max bounds
+  (block-max WAND) and the position stream (positional phrase matching)
+  are read on demand by ``fill_columns``, once per fetched row.
 - **One snapshot per reader**: the lexicon is built from one
   ``index.layout.IndexState``, and its corpus stats, tombstone masks and
   the docstore files the serving paths read all come from that state, so
@@ -36,10 +39,13 @@ import pyarrow.parquet as pq
 from .layout import IndexState, as_state
 
 # the segment columns that the consumers of a fetched row (codecs, query,
-# serving paths) read; term, df and cf come from the lexicon instead
-FETCH_COLUMNS = ["shard", "n_postings", "docs_payload", "tfs_payload",
-                 "dls_payload", "skip_last_doc", "skip_doc_off", "skip_tf_off",
-                 "skip_dl_off", "block_max", "pos_payload"]
+# serving paths) read; term, df and cf come from the lexicon instead.
+# fetch_terms reads what every scorer decodes (codecs.decode_postings);
+# fill_columns adds the rest for block-max WAND and phrase positions.
+SCORER_COLUMNS = ["shard", "n_postings", "docs_payload", "tfs_payload", "dls_payload"]
+EXTRA_COLUMNS = ["skip_last_doc", "skip_doc_off", "skip_tf_off", "skip_dl_off",
+                 "block_max", "pos_payload"]
+FETCH_COLUMNS = SCORER_COLUMNS + EXTRA_COLUMNS
 
 _LEX_SCHEMA = pa.schema([("term", pa.string()), ("shard", pa.int32()),
                          ("df", pa.int64()), ("cf", pa.int64()),
@@ -157,10 +163,25 @@ class IndexReader:
         return list(zip([terms[h] for h in hit.tolist()],
                         self._offsets[i].tolist(), self._offsets[i + 1].tolist()))
 
+    def _read_groups(self, keys, columns: list[str]) -> dict:
+        """(file, row_group) -> ``columns`` of that row group, one
+        ``read_row_group`` per key. Parquet row-group reads release the GIL,
+        so a query's groups (it fans out over files and row groups) are
+        read concurrently."""
+        def read_one(key):
+            fi, g = key
+            return key, self._pf[fi].read_row_group(g, columns=columns)
+
+        keys = list(keys)
+        if len(keys) > 1:
+            return dict(self._io_pool.map(read_one, keys))
+        return dict(read_one(k) for k in keys)
+
     def fetch_terms(self, terms: list[str]) -> dict[str, list[dict]]:
         """term -> its segment rows (all shards, in shard order), decoded to
-        python dicts of ``FETCH_COLUMNS``. Row-group granular reads; LRU
-        cache of decoded terms."""
+        python dicts of ``SCORER_COLUMNS`` (plus ``_at``, the row's file,
+        row group and row, for ``fill_columns``). Row-group granular reads;
+        LRU cache of decoded terms."""
         out: dict[str, list[dict]] = {}
         misses = []
         for t in terms:
@@ -178,34 +199,19 @@ class IndexReader:
             for fi, g, row in zip(lex["file"][s:e].tolist(), lex["row_group"][s:e].tolist(),
                                   lex["row"][s:e].tolist()):
                 wanted.setdefault((fi, g), []).append((t, row))
-        if wanted:
-            # parquet row-group reads release the GIL — fetch a query's
-            # groups concurrently (a query fans out over files/row groups)
-            def read_one(key):
-                fi, g = key
-                return key, self._pf[fi].read_row_group(g, columns=FETCH_COLUMNS)
-
-            if len(wanted) > 1:
-                results = dict(self._io_pool.map(read_one, list(wanted)))
-            else:
-                results = dict([read_one(next(iter(wanted)))])
-            # in (file, row_group) order, so each term's rows arrive in file
-            # order and the shard sort below leaves them in (shard, file) order
-            for key, items in sorted(wanted.items()):
-                scale = self._bm_scale[key[0]]
-                dead = self._dead_by_file[key[0]]
-                rows = results[key].take([row for _, row in items]).to_pylist()
-                for (t, _), r in zip(items, rows):
-                    if dead is not None:
-                        # pending tombstones: the codec masks these doc_ids
-                        # out at decode time (codecs.postings)
-                        r["_dead"] = dead
-                    if scale != 1.0 and r.get("block_max") is not None:
-                        # safe-bound rescale for appended generations (see
-                        # build_lexicon) — exact scoring is untouched, only
-                        # the WAND upper bounds inflate
-                        r["block_max"] = [v * scale for v in r["block_max"]]
-                    fetched[t].append(r)
+        results = self._read_groups(wanted, SCORER_COLUMNS)
+        # in (file, row_group) order, so each term's rows arrive in file
+        # order and the shard sort below leaves them in (shard, file) order
+        for key, items in sorted(wanted.items()):
+            dead = self._dead_by_file[key[0]]
+            rows = results[key].take([row for _, row in items]).to_pylist()
+            for (t, row), r in zip(items, rows):
+                r["_at"] = (*key, row)
+                if dead is not None:
+                    # pending tombstones: the codec masks these doc_ids
+                    # out at decode time (codecs.postings)
+                    r["_dead"] = dead
+                fetched[t].append(r)
         for t, rows in fetched.items():
             rows.sort(key=lambda r: r["shard"])
             self._cache[t] = rows
@@ -213,6 +219,31 @@ class IndexReader:
                 self._cache.popitem(last=False)
             out[t] = rows
         return out
+
+    def fill_columns(self, term_rows: dict[str, list[dict]]) -> dict[str, list[dict]]:
+        """Add ``EXTRA_COLUMNS`` (skip table, block-max bounds, positions)
+        in place to the rows of a ``fetch_terms`` result that lack them,
+        and return ``term_rows``. Each missing (file, row_group) is read
+        once, for those columns only; the rows are the cached ones, so a
+        row is filled (and its bounds rescaled) once per reader."""
+        wanted: dict[tuple[int, int], list[tuple[dict, int]]] = {}
+        for rows in term_rows.values():
+            for r in rows:
+                if "block_max" not in r:
+                    fi, g, row = r["_at"]
+                    wanted.setdefault((fi, g), []).append((r, row))
+        results = self._read_groups(wanted, EXTRA_COLUMNS)
+        for key, items in wanted.items():
+            scale = self._bm_scale[key[0]]
+            cols = results[key].take([row for _, row in items]).to_pylist()
+            for (r, _), c in zip(items, cols):
+                if scale != 1.0 and c["block_max"] is not None:
+                    # safe-bound rescale for appended generations (see
+                    # build_lexicon) — exact scoring is untouched, only
+                    # the WAND upper bounds inflate
+                    c["block_max"] = [v * scale for v in c["block_max"]]
+                r.update(c)
+        return term_rows
 
     def term_stats(self, terms: list[str] | None = None) -> dict[str, tuple[int, int]]:
         """term -> (global df, global cf): sums over the term's lexicon rows

@@ -1088,7 +1088,9 @@ class _RangedIdFilter:
     the batch's [min, max] id range are fetched, ONE AT A TIME — per-task
     memory is O(one chunk), never O(id set), unlike a broadcast filter.
     When storage is id-clustered (sorted-ish files — the docstore and every
-    at-rest layout here), a task touches only the ids of its own range."""
+    at-rest layout here), a task touches only the ids of its own range.
+    Passed as an instance, so it runs in tasks: an actor pool would hold a
+    CPU its upstream tasks need (at Ray num_cpus=1 the query hung)."""
 
     def __init__(self, chunk_refs, lows, highs, id_col, keep):
         self.refs = chunk_refs
@@ -1115,8 +1117,7 @@ class _RangedIdFilter:
 
 
 def ranged_id_filter(ds, ids_ds, id_col: str, *, ids_col: str | None = None,
-                     keep: bool = True, chunk_rows: int = 1 << 20,
-                     concurrency=(1, 8)):
+                     keep: bool = True, chunk_rows: int = 1 << 20):
     """``ds`` rows whose ``id_col`` is (``keep=True``) / is not
     (``keep=False``) present in ``ids_ds`` — a broadcast-free hash/range
     semi-join filter. The id set is globally SORTED (one candidate-sized
@@ -1141,13 +1142,9 @@ def ranged_id_filter(ds, ids_ds, id_col: str, *, ids_col: str | None = None,
     # boundaries (equal ids split across blocks are fine: membership is
     # per-chunk OR). Sort by low for the searchsorted window math.
     pairs.sort(key=lambda p: (p[1], p[2]))
-    kwargs = {"fn_constructor_kwargs": {
-        "chunk_refs": [p[0] for p in pairs],
-        "lows": [p[1] for p in pairs],
-        "highs": [p[2] for p in pairs],
-        "id_col": id_col, "keep": keep,
-    }, "batch_format": "pyarrow", "concurrency": concurrency}
-    return ds.map_batches(_RangedIdFilter, **kwargs)
+    flt = _RangedIdFilter([p[0] for p in pairs], [p[1] for p in pairs],
+                          [p[2] for p in pairs], id_col, keep)
+    return ds.map_batches(flt, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1703,6 +1700,68 @@ def blocked_pairs(keys, order=(), *, max_group: int | None = None,
 # ---------------------------------------------------------------------------
 
 
+# multiply-adds of the dense gram product worth one candidate pair of the
+# blocked path (expansion plus group-by count). Timing both paths on five
+# bucket shapes (1 CPU, numpy's OpenBLAS) put the break-even between 756
+# and 27,000 multiply-adds per pair; this value picks the faster path on
+# all five (3 groups of 4 to 10k groups of ~10 among 2,000 items)
+_GRAM_MADDS_PER_PAIR = 4096
+
+
+def _pair_counts(g: np.ndarray, items: np.ndarray, dense_items_cap: int):
+    """(item_a, item_b, n_groups) over (group, item) rows, duplicates
+    allowed: for every item pair a < b, the number of groups holding both.
+    Two paths with identical counts; the cheaper one runs:
+
+    - dense gram matmul over the (group x item) 0/1 matrix, cost
+      groups x items^2 multiply-adds, only up to ``dense_items_cap``
+      items (the matrix is items^2 floats);
+    - ``blocked_pairs``, cost sum n_g (n_g - 1) / 2 candidate pairs, each
+      about ``_GRAM_MADDS_PER_PAIR`` multiply-adds' worth of time.
+
+    A bucket of many small groups over a wide vocabulary (10k groups of
+    ~10 items among 2,000: 2.4 s dense, 0.46 s blocked) takes the pairs;
+    large baskets over a narrow vocabulary (2,000 groups of ~200 among
+    500: 1.6 s dense, 12 s blocked) take the matmul."""
+    uniq = np.unique(items)
+    if uniq.size <= dense_items_cap:
+        rows, starts, counts = _group_bounds(g, items)
+        n_pairs = int((counts * (counts - 1) // 2).sum())
+        if starts.size * uniq.size ** 2 < _GRAM_MADDS_PER_PAIR * n_pairs:
+            return _gram_pair_counts(uniq, items[rows], starts, counts)
+    ia, ib, _ = blocked_pairs(g, items)
+    out = (pd.DataFrame({"item_a": items[ia], "item_b": items[ib]})
+           .groupby(["item_a", "item_b"], sort=False).size())
+    return (out.index.get_level_values(0).to_numpy(),
+            out.index.get_level_values(1).to_numpy(), out.to_numpy())
+
+
+def _gram_pair_counts(uniq: np.ndarray, items: np.ndarray, starts: np.ndarray,
+                      counts: np.ndarray):
+    """``_pair_counts``' dense path over distinct rows sorted by group
+    (``items``, groups cut at ``starts``): C = sum of M_slab^T @ M_slab
+    over 4096-group slabs of the (group x item) 0/1 matrix; C[i, j] IS
+    the exact pair count, no pair instance is ever materialized. Slab
+    products are exact in float32 (<= 4096 < 2^24) and accumulate
+    exactly in float64 (< 2^53)."""
+    n_items = int(uniq.size)
+    codes = np.searchsorted(uniq, items)
+    gid = np.repeat(np.arange(starts.size), counts)
+    c_mat = np.zeros((n_items, n_items), np.float64)
+    slab = 4096
+    for s0 in range(0, starts.size, slab):
+        s1 = min(s0 + slab, starts.size)
+        r0 = starts[s0]
+        r1 = starts[s1] if s1 < starts.size else items.size
+        m = np.zeros((s1 - s0, n_items), np.float32)
+        m[gid[r0:r1] - s0, codes[r0:r1]] = 1.0
+        c_mat += (m.T @ m).astype(np.float64)
+    iu, ju = np.triu_indices(n_items, 1)
+    cnt = c_mat[iu, ju]
+    nz = cnt > 0
+    return uniq[iu[nz]], uniq[ju[nz]], cnt[nz].astype(np.int64)
+
+
 def key_cooccurrence(ds, group_col: str, item_col: str, *,
                      n_buckets: int = 32, dense_items_cap: int = 2048):
     """Market-basket pair counting: for every unordered pair of distinct
@@ -1712,18 +1771,16 @@ def key_cooccurrence(ds, group_col: str, item_col: str, *,
 
     Scale shape: map-side in-batch distinct cuts (group, item) pairs
     before they move; ONE group-hash exchange delivers each group's item
-    set to one reducer. Pair counting per bucket is two-path:
+    set to one reducer. Pair counting per bucket is two-path, the cheaper
+    by cost estimate (``_pair_counts``):
 
-    - item vocabulary <= 2048 in the bucket: DENSE GRAM MATMUL — C = sum
-      of M_slab^T @ M_slab over 4096-group slabs of the (group x item)
-      0/1 matrix; C[i, j] IS the exact pair count, no pair instance is
-      ever materialized (the 20M-event probe spent 90s materializing
-      180M triangle rows that this path replaces with ~8 small BLAS
-      calls per bucket). Slab products are exact in float32 (<= 4096 <
-      2^24) and accumulate exactly in float64 (< 2^53).
-    - larger vocabularies: ``blocked_pairs`` (no per-group Python loop,
-      no n*n grid) — pair volume is sum(m_g^2) over group item-set
-      sizes, bounded by the vocabulary.
+    - DENSE GRAM MATMUL (``_gram_pair_counts``), only for a bucket
+      vocabulary <= ``dense_items_cap`` — no pair instance is ever
+      materialized (the 20M-event probe spent 90s materializing 180M
+      triangle rows that this path replaces with ~8 small BLAS calls per
+      bucket), but it costs groups x items^2 whatever the density.
+    - ``blocked_pairs`` (no per-group Python loop, no n*n grid) — pair
+      volume is sum(m_g^2) over group item-set sizes.
 
     Per-bucket partial pair counts sum in a final small aggregate
     (groups are disjoint across buckets, so partials never
@@ -1747,35 +1804,11 @@ def key_cooccurrence(ds, group_col: str, item_col: str, *,
         df = df.dropna(subset=[group_col, item_col])
         if df.empty:
             return empty
-        g = df[group_col].to_numpy()
-        items = df[item_col].to_numpy()
-        uniq = np.unique(items)
-        if uniq.size > dense_items_cap:
-            ia, ib, _ = blocked_pairs(g, items)
-            if ia.size == 0:
-                return empty
-            out = pd.DataFrame({"item_a": items[ia], "item_b": items[ib]})
-            return (out.groupby(["item_a", "item_b"], sort=False)
-                    .size().reset_index(name="n_groups"))
-        rows, starts, counts = _group_bounds(g, items)
-        n_items = int(uniq.size)
-        codes = np.searchsorted(uniq, items[rows])
-        gid = np.repeat(np.arange(starts.size), counts)
-        c_mat = np.zeros((n_items, n_items), np.float64)
-        slab = 4096
-        for s0 in range(0, starts.size, slab):
-            s1 = min(s0 + slab, starts.size)
-            r0 = starts[s0]
-            r1 = starts[s1] if s1 < starts.size else rows.size
-            m = np.zeros((s1 - s0, n_items), np.float32)
-            m[gid[r0:r1] - s0, codes[r0:r1]] = 1.0
-            c_mat += (m.T @ m).astype(np.float64)
-        iu, ju = np.triu_indices(n_items, 1)
-        cnt = c_mat[iu, ju]
-        nz = cnt > 0
-        return pd.DataFrame({"item_a": uniq[iu[nz]],
-                             "item_b": uniq[ju[nz]],
-                             "n_groups": cnt[nz].astype(np.int64)})
+        a, b, n = _pair_counts(df[group_col].to_numpy(), df[item_col].to_numpy(),
+                               dense_items_cap)
+        if a.size == 0:
+            return empty
+        return pd.DataFrame({"item_a": a, "item_b": b, "n_groups": n})
 
     part = exchange(pairs, per_bucket, keys=[group_col], n_buckets=n_buckets)
     return pre_aggregate(part, ["item_a", "item_b"],

@@ -96,11 +96,10 @@ class PhraseAndBooleanMixin:
         if cand.size == 0:
             return []
         term_rows = self.reader.fetch_terms(sorted(set(toks)))
-        has_positions = all(
-            r.get("pos_payload") is not None for rows in term_rows.values() for r in rows
-        )
-        if has_positions:
-            matched = self._verify_phrase_positional(cand, toks, term_rows)
+        # every generation shares the base's store_positions (checked at append)
+        if self.reader.state.stats["store_positions"]:
+            matched = self._verify_phrase_positional(
+                cand, toks, self.reader.fill_columns(term_rows))
         else:
             texts = self._texts_for(cand)
             matched = []
@@ -784,7 +783,7 @@ class SearchEngine(PhraseAndBooleanMixin, ServingFeaturesMixin):
             total = sum(int(r["n_postings"]) for rows in term_rows.values() for r in rows)
             method = "brute" if total <= self.AUTO_BRUTE_MAX_POSTINGS else "bmw"
         if method == "bmw":
-            return block_max_wand_topk(term_rows, **kw)
+            return block_max_wand_topk(self.reader.fill_columns(term_rows), **kw)
         if method == "brute":
             return brute_force_topk(term_rows, **kw)
         raise ValueError(f"unknown method {method!r}")

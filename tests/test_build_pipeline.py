@@ -269,7 +269,7 @@ def test_positional_index(ray_session, pages_1k, tmp_path_factory, oracle_1k):
     from gxdindexer_ray.codecs.postings import decode_positions
 
     term = sorted(oracle_1k.postings)[50]
-    rows = eng.reader.fetch_terms([term])[term]
+    rows = eng.reader.fill_columns(eng.reader.fetch_terms([term]))[term]
     from gxdindexer_ray.query.brute import decoded
 
     url_of = {d: u for d, (u, _) in oracle_1k.docs.items()}

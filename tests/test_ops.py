@@ -863,6 +863,49 @@ class TestBroadcastFreePrimitives:
         assert ranged_id_filter(ds, empty, "doc_id", ids_col="cid",
                                 keep=False).count() == 50
 
+    _ONE_CPU_RANGED_FILTER = """
+import json
+import numpy as np, pyarrow as pa, ray, ray.data as rd
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from gxdindexer_ray.ops.relational import ranged_id_filter
+ds = rd.from_arrow(pa.table({"doc_id": pa.array(np.arange(5000), pa.int64())})).repartition(8)
+ids = rd.from_arrow(pa.table({"cid": pa.array(np.arange(0, 5000, 7)[::-1], pa.int64())}))
+out = [sorted(r["doc_id"] for r in ranged_id_filter(
+    ds, ids.repartition(3), "doc_id", ids_col="cid", keep=keep, chunk_rows=100).take_all())
+       for keep in (True, False)]
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+    def test_ranged_id_filter_one_cpu(self):
+        """ranged_id_filter finishes on a one-CPU Ray session (its filter
+        runs in tasks; as an actor pool it held the only CPU its upstream
+        tasks needed, and q26/q41/q104/q119 hung). Its own session, in a
+        subprocess under a hard timeout, since a hang never returns."""
+        import json
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=root)
+        proc = subprocess.Popen([sys.executable, "-c", self._ONE_CPU_RANGED_FILTER],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env, start_new_session=True, text=True)
+        try:
+            stdout, stderr = proc.communicate(timeout=180)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("ranged_id_filter did not finish in 180 s on a 1-CPU Ray session")
+        assert proc.returncode == 0, stderr[-2000:]
+        kept, dropped = json.loads(stdout.strip().splitlines()[-1])
+        assert kept == list(range(0, 5000, 7))
+        assert dropped == sorted(set(range(5000)) - set(kept))
+
     def test_connected_components_ds_chain_single_edge_exchange(
             self, ray_session, monkeypatch):
         """A diameter-20 chain needs ~20 propagation rounds; the edge set
@@ -3586,6 +3629,41 @@ def test_key_cooccurrence_exact_counts(ray_session):
         got = {(r.item_a, r.item_b): r.n_groups for r in out.itertuples()}
         assert got == want, f"dense_items_cap={cap}"
         assert all(a < b for a, b in got)
+
+
+def test_key_cooccurrence_path_by_cost(monkeypatch):
+    """Many groups of ~10 items over a 2,000-item vocabulary: the dense
+    matmul would cost groups x items^2 against ~45 pairs per group, so the
+    reducer takes blocked_pairs although the vocabulary is under the dense
+    cap; large baskets over a narrow vocabulary keep the matmul. Both paths
+    give identical counts on both shapes."""
+    from gxdindexer_ray.ops import relational as R
+
+    rng = np.random.default_rng(5)
+    calls = []
+    kernel = R.blocked_pairs
+    monkeypatch.setattr(R, "blocked_pairs", lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+
+    def shape(n_groups, lo, hi, vocab):
+        sizes = rng.integers(lo, hi, n_groups)
+        g = np.repeat(np.arange(n_groups), sizes)
+        it = np.concatenate([rng.choice(vocab, s, replace=False) for s in sizes])
+        # every (group, item) row twice: the reducer's input is not yet distinct
+        return np.r_[g, g], np.array([f"i{x:04d}" for x in np.r_[it, it]], dtype=object)
+
+    def counts(out):
+        return sorted(zip(*[x.tolist() for x in out]))
+
+    for (g, it), blocked in ((shape(3000, 5, 16, 2000), True), (shape(300, 100, 200, 300), False)):
+        assert np.unique(it).size <= 2048
+        del calls[:]
+        got = counts(R._pair_counts(g, it, 2048))
+        assert bool(calls) == blocked
+        forced = counts(R._pair_counts(g, it, 0))  # blocked_pairs
+        with monkeypatch.context() as m:
+            m.setattr(R, "_GRAM_MADDS_PER_PAIR", 1e30)  # dense
+            dense = counts(R._pair_counts(g, it, 2048))
+        assert got == forced == dense and got
 
 
 def test_triangle_count_exact(ray_session):

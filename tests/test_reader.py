@@ -2,15 +2,18 @@
 
 Every check reads the segment files with ``pq.read_table`` and rebuilds
 what the reader must answer in plain Python: the rows ``fetch_terms``
-returns per term (shard order, block-max bounds rescaled per generation,
-tombstone masks), ``term_stats``, ``terms_with_prefix`` and ``n_terms``.
-Only building the multi-generation fixture needs Ray."""
+returns per term (shard order, scorer columns, tombstone masks), the
+columns ``fill_columns`` adds (block-max bounds rescaled per generation),
+``term_stats``, ``terms_with_prefix`` and ``n_terms``. Only building the
+multi-generation fixture needs Ray."""
 
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
@@ -20,7 +23,8 @@ from gxdindexer_ray.fixtures import generate_pages
 from gxdindexer_ray.fixtures.pages import HOT_TERM
 from gxdindexer_ray.index.layout import open_index
 from gxdindexer_ray.index.merge import SEGMENT_SCHEMA
-from gxdindexer_ray.index.reader import FETCH_COLUMNS, IndexReader, build_lexicon
+from gxdindexer_ray.index.reader import (EXTRA_COLUMNS, FETCH_COLUMNS, SCORER_COLUMNS,
+                                         IndexReader, build_lexicon)
 from gxdindexer_ray.state.manifest import atomic_write_json, read_json
 
 CFG = IndexConfig()
@@ -82,12 +86,96 @@ def test_fetch_terms_match_segment_scan(mixed_index):
         g, w = got[t], want[t]
         assert [r["shard"] for r in g] == [r["shard"] for r in w], t
         for gr, wr in zip(g, w):
-            assert set(gr) == set(FETCH_COLUMNS) | {"_dead"}
-            assert {c: gr[c] for c in FETCH_COLUMNS} == {c: wr[c] for c in FETCH_COLUMNS}, t
+            assert set(gr) == set(SCORER_COLUMNS) | {"_dead", "_at"}
+            assert {c: gr[c] for c in SCORER_COLUMNS} == {c: wr[c] for c in SCORER_COLUMNS}, t
             assert gr["_dead"].tolist() == [victim]
     # the hot term: 32 base shards then the delta's one unsharded row
     assert [r["shard"] for r in got[HOT_TERM]] == [0] + list(range(32))
     assert reader.fetch_terms(["no-such-term", HOT_TERM])[HOT_TERM] is got[HOT_TERM]
+
+    # the block and position columns, filled in place; a second fill, and
+    # a fill of cached rows, must not rescale block_max again
+    for i in range(0, len(terms), 500):
+        chunk = {t: got[t] for t in terms[i:i + 500]}
+        assert reader.fill_columns(chunk) is chunk
+    hit = reader.fetch_terms([HOT_TERM])
+    assert hit[HOT_TERM] is got[HOT_TERM]
+    reader.fill_columns(hit)
+    reader.fill_columns(got)
+    for t in terms:
+        for gr, wr in zip(got[t], want[t]):
+            assert set(gr) == set(FETCH_COLUMNS) | {"_dead", "_at"}
+            assert {c: gr[c] for c in FETCH_COLUMNS} == {c: wr[c] for c in FETCH_COLUMNS}, t
+
+
+def test_fill_reads_only_missing_groups_and_columns(mixed_index, monkeypatch):
+    """fetch_terms reads the scorer columns; fill_columns reads the other
+    columns once per (file, row group), and nothing for filled rows."""
+    idx, _ = mixed_index
+    reads: list[tuple] = []
+    orig = pq.ParquetFile.read_row_group
+
+    def counting(self, i, columns=None, **kw):
+        reads.append((id(self), i, tuple(columns)))
+        return orig(self, i, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", counting)
+    reader = IndexReader(idx, warm_top_terms=0)
+    rows = reader.fetch_terms([HOT_TERM, "no-such-term"])
+    assert reads and {r[2] for r in reads} == {tuple(SCORER_COLUMNS)}
+    groups = {r[:2] for r in reads}
+    del reads[:]
+    reader.fill_columns(rows)
+    assert {r[2] for r in reads} == {tuple(EXTRA_COLUMNS)}
+    assert sorted(r[:2] for r in reads) == sorted(groups)
+    del reads[:]
+    reader.fill_columns(reader.fetch_terms([HOT_TERM]))
+    assert reads == []
+
+
+def test_old_segment_encoding_reads_the_same(mixed_index, tmp_path):
+    """A base whose segment files carry the earlier encoding (zstd, default
+    dictionary pages and statistics) under a delta with the current one
+    answers every fetch and query path exactly like the current files."""
+    from gxdindexer_ray.pipelines import SearchEngine
+    from gxdindexer_ray.pipelines.search import DocFilter
+    from gxdindexer_ray.text.tokenize import tokenize
+
+    idx, _ = mixed_index
+    old = tmp_path / "old"
+    shutil.copytree(idx, old)
+    base = sorted((old / "segments").glob("*.parquet"))
+    assert base
+    for f in base:
+        pq.write_table(pq.read_table(f), f, compression="zstd", row_group_size=256)
+    md = pq.ParquetFile(base[0]).metadata.row_group(0)
+    ci = SEGMENT_SCHEMA.names.index("docs_payload")
+    assert md.column(ci).compression == "ZSTD" and md.column(ci).statistics is not None
+    new_md = pq.ParquetFile(sorted((idx / "segments").glob("*.parquet"))[0]).metadata
+    assert new_md.row_group(0).column(ci).compression == "LZ4"
+    assert new_md.row_group(0).column(ci).statistics is None
+
+    a, b = SearchEngine(idx), SearchEngine(old)
+    terms = sorted(a.reader.terms_with_prefix(""))
+    assert b.reader.terms_with_prefix("") == terms
+    ra = a.reader.fill_columns(a.reader.fetch_terms(terms))
+    rb = b.reader.fill_columns(b.reader.fetch_terms(terms))
+    for t in terms:
+        assert [{c: r[c] for c in FETCH_COLUMNS} for r in ra[t]] == \
+            [{c: r[c] for c in FETCH_COLUMNS} for r in rb[t]], t
+    # row 0 of the first docstore file is the tombstoned doc
+    docs = pq.read_table(sorted((idx / "docs").glob("*.parquet"))[0], columns=["text"])
+    texts = [x for x in docs["text"].to_pylist()[1:] if x and len(tokenize(x)) >= 6][:5]
+    flt = DocFilter("dl>=30", ["dl"], lambda t: pc.greater_equal(t["dl"], 30))
+    for q in [HOT_TERM, f"{HOT_TERM} {terms[7]}", " ".join(terms[100:103])] + \
+            [" ".join(tokenize(x)[:3]) for x in texts]:
+        for method in ("brute", "bmw"):
+            assert a.topk(q, 10, method=method) == b.topk(q, 10, method=method), (q, method)
+        assert a.filtered_topk(q, 10, flt) == b.filtered_topk(q, 10, flt), q
+    for x in texts:
+        ph = " ".join(tokenize(x)[1:4])
+        assert a.phrase_topk(ph, 10) == b.phrase_topk(ph, 10), ph
+        assert a.phrase_topk(ph, 10), ph
 
 
 def test_term_stats_and_prefixes_match_segment_scan(mixed_index):
