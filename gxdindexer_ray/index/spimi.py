@@ -41,6 +41,7 @@ PARTIAL_SCHEMA = pa.schema(
         pa.field("term", pa.string()),
         pa.field("shard", pa.int32()),
         pa.field("n_postings", pa.int64()),
+        pa.field("cf", pa.int64()),  # sum of the partial's tfs
         pa.field("docs_payload", pa.large_binary()),
         pa.field("tfs_payload", pa.large_binary()),
         pa.field("dls_payload", pa.large_binary()),
@@ -79,7 +80,10 @@ _WRITE_MANIFEST = pa.schema([
     ("bytes", pa.int64()),
     # per-file posting totals: the merge decides its slot split from
     # these manifest sums without re-reading any column
-    ("postings", pa.int64())])
+    ("postings", pa.int64()),
+    # per-file token totals (sum of cf): summed over every file they are
+    # the corpus total_dl, since each posting lands in exactly one file
+    ("tokens", pa.int64())])
 
 
 def make_spimi_writer_fn(hot_terms_ref, cfg: IndexConfig, partials_dir: str):
@@ -119,8 +123,9 @@ def make_spimi_writer_fn(hot_terms_ref, cfg: IndexConfig, partials_dir: str):
         buckets = buckets[order]
         bounds = np.concatenate([[0], np.flatnonzero(np.diff(buckets)) + 1, [len(buckets)]])
         npost = tbl["n_postings"].to_numpy(zero_copy_only=False)
+        cf = tbl["cf"].to_numpy(zero_copy_only=False)
         tag = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        out_b, out_path, out_rows, out_bytes, out_post = [], [], [], [], []
+        out_b, out_path, out_rows, out_bytes, out_post, out_tok = [], [], [], [], [], []
         for i in range(bounds.size - 1):
             s, e = int(bounds[i]), int(bounds[i + 1])
             bk = int(buckets[s])
@@ -140,7 +145,8 @@ def make_spimi_writer_fn(hot_terms_ref, cfg: IndexConfig, partials_dir: str):
             out_rows.append(e - s)
             out_bytes.append(f.stat().st_size)
             out_post.append(int(npost[s:e].sum()))
-        return pa.table([out_b, out_path, out_rows, out_bytes, out_post],
+            out_tok.append(int(cf[s:e].sum()))
+        return pa.table([out_b, out_path, out_rows, out_bytes, out_post, out_tok],
                         schema=_WRITE_MANIFEST)
 
     return spimi_write
@@ -261,6 +267,7 @@ class SpimiPartialBuilder:
                 "term": pa.array(terms_out, pa.string()),
                 "shard": pa.array(seg_shards.astype(np.int32), pa.int32()),
                 "n_postings": pa.array(seg_ends - seg_starts, pa.int64()),
+                "cf": pa.array(np.add.reduceat(s_tf, seg_starts).astype(np.int64), pa.int64()),
                 "docs_payload": pa.array([d_buf[d_off[i]:d_off[i + 1]] for i in range(nseg)], pa.large_binary()),
                 "tfs_payload": pa.array([t_buf[t_off[i]:t_off[i + 1]] for i in range(nseg)], pa.large_binary()),
                 "dls_payload": pa.array([l_buf[l_off[i]:l_off[i + 1]] for i in range(nseg)], pa.large_binary()),

@@ -6,14 +6,14 @@ the reference lacks, see state/manifest.py):
 
   P0 docstore : read pages -> HTML extract (html dropped immediately) ->
                 docID + doc length -> in-batch pre-dedup -> docstore file
-                written MAP-SIDE per batch (doc_id-sorted) -> only ~50-byte
-                KEY rows (doc_id, warc_ts, text-hash, dl, file, row) cross
-                the dedup shuffle -> per-bucket first-wins winner selection
+                written MAP-SIDE per batch (doc_id-sorted) -> only ~40-byte
+                KEY rows (doc_id, warc_ts, text-hash, file, row) cross the
+                dedup shuffle -> per-bucket first-wins winner selection
                 (dedup-rule v2: min (warc_ts, blake2b128(text))) -> the few
                 duplicate LOSER rows are dropped from their files in a
                 sparse per-file rewrite ("ship keys, not payloads": at
                 <1%% duplicates the payload never moves twice)
-  P1 stats    : N, avgdl -> stats.json (from P0's key rows, no scan)
+  N           : the sealed docstore files' footer row counts (no scan)
   layout      : (n_buckets, shard_bits) = config.segment_layout(N)
   P2 hotterms : deterministic doc_id hash-sample (doc_id < cut(N)) ->
                 sampled df -> hot set (one scan of the sealed docstore;
@@ -21,14 +21,16 @@ the reference lacks, see state/manifest.py):
                 skipped, with an empty hot set, when the layout has one
                 shard per term
   P3 segments : tokenize + SPIMI partial tasks writing a per-bucket file
-                exchange -> one merge task per bucket -> segment files
-                + per-bucket lineage rows -> segments_manifest.json
+                exchange -> total_dl = the writers' token tallies ->
+                stats.json (N, avgdl) -> one merge task per bucket ->
+                segment files + per-bucket lineage rows ->
+                segments_manifest.json
 
-P1-P3 and metrics.json are one runner, _derive_index, shared with the
-filtered sub-index build and compaction: those start from a docstore that
-is already on disk, so their P1 is a scan of it too. The layout and P2
-are the same for every entry point, so one docstore always gives one
-layout and one hot set.
+Everything after P0 and metrics.json is one runner, _derive_index, shared
+with the filtered sub-index build and compaction, which start from a
+docstore already on disk. Every entry point therefore takes N from the
+same footers, avgdl from the same tokenizer pass that writes the postings,
+and one layout and one hot set from one docstore.
 
 Reference parity: this is GxdResultIndexer.index()'s scan->derive->write
 spine (GxdResultIndexer.java:935-1266) with the index build internalized
@@ -137,7 +139,6 @@ _KEYS_SCHEMA = pa.schema(
         pa.field("warc_ts", pa.timestamp("us")),
         pa.field("th_hi", pa.int64()),
         pa.field("th_lo", pa.int64()),
-        pa.field("dl", pa.int64()),
         pa.field("file", pa.string()),
         pa.field("row", pa.int32()),
     ]
@@ -147,7 +148,7 @@ _KEYS_SCHEMA = pa.schema(
 def make_docstore_writer_fn(docs_tmp: str, exclude_ids_ref=None):
     """Map side of P0: extract + pre-dedup a pages batch, write the batch's
     docstore file (doc_id-sorted, lz4) straight to its FINAL directory, and
-    return only ~50-byte key rows for the dedup exchange. Measured rationale
+    return only ~40-byte key rows for the dedup exchange. Measured rationale
     (1M docs, 8 CPUs): shuffling slim text rows through Ray Data's
     sort-based groupby cost 18.7s of a 20.7s P0; per-(batch,bucket) partial
     files cost ~1 ms/file x 64k files. Shipping keys only makes the
@@ -185,7 +186,6 @@ def make_docstore_writer_fn(docs_tmp: str, exclude_ids_ref=None):
             "warc_ts": tbl["warc_ts"],
             "th_hi": tbl["th_hi"],
             "th_lo": tbl["th_lo"],
-            "dl": tbl["dl"],  # lets P1 derive corpus stats with no re-scan
             "file": pa.array([fname] * tbl.num_rows, pa.string()),
             "row": pa.array(np.arange(tbl.num_rows, dtype=np.int32), pa.int32()),
         }).cast(_KEYS_SCHEMA)
@@ -220,7 +220,6 @@ def make_prior_keys_fn(dead_ref):
                                 pa.timestamp("us")),
             "th_hi": pa.array(np.full(n, i64_min, np.int64)),
             "th_lo": pa.array(np.full(n, i64_min, np.int64)),
-            "dl": pa.array(np.zeros(n, np.int64)),
             "file": pa.array([""] * n, pa.string()),
             "row": pa.array(np.full(n, -1, np.int32)),
         }).cast(_KEYS_SCHEMA)
@@ -237,14 +236,14 @@ def _find_losers(g: pa.Table) -> pa.Table:
     occur for byte-equal text, where either copy is the same document."""
     n = g.num_rows
     if n <= 1:  # also the column-less table an exchange with no keys hands over
-        return _KEYS_SCHEMA.empty_table().select(["file", "row", "dl"])
+        return _KEYS_SCHEMA.empty_table().select(["file", "row"])
     order = pc.sort_indices(g, sort_keys=[(k, "ascending")
                                           for k in _KEY_SORT + ["file", "row"]])
     g = g.take(order)
     ids = g["doc_id"].combine_chunks()
     dup = pa.concat_arrays([pa.array([False]),
                             pc.equal(ids.slice(1, n - 1), ids.slice(0, n - 1))])
-    return g.select(["file", "row", "dl"]).filter(dup)
+    return g.select(["file", "row"]).filter(dup)
 
 
 def make_loser_dropper(docs_tmp: str):
@@ -255,8 +254,7 @@ def make_loser_dropper(docs_tmp: str):
 
     def drop(g: pa.Table) -> pa.Table:
         empty = pa.table({"file": pa.array([], pa.string()),
-                          "dropped": pa.array([], pa.int64()),
-                          "dropped_dl": pa.array([], pa.int64())})
+                          "dropped": pa.array([], pa.int64())})
         if g.num_rows == 0:  # no duplicate losers anywhere
             return empty
         fname = g["file"][0].as_py()
@@ -272,8 +270,7 @@ def make_loser_dropper(docs_tmp: str):
                        row_group_size=1024)
         tmp.rename(path)
         return pa.table({"file": pa.array([fname], pa.string()),
-                         "dropped": pa.array([int(rows.size)], pa.int64()),
-                         "dropped_dl": pa.array([int(g["dl"].to_numpy(zero_copy_only=False).sum())], pa.int64())})
+                         "dropped": pa.array([int(rows.size)], pa.int64())})
 
     return drop
 
@@ -311,10 +308,6 @@ def _validate_pages_schema(path: str) -> None:
         )
 
 
-def _n_cpus() -> int:
-    return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-
-
 def _save_exec_stats(out: Path, tag: str, ds) -> None:
     """Persist Ray Data's per-stage execution stats (wall/cpu/memory
     breakdown) for capacity planning — the analog of the reference's
@@ -332,7 +325,6 @@ def build_index(
     cfg: IndexConfig = DEFAULT_CONFIG,
     *,
     resume: bool = True,
-    parallelism: int | None = None,
     exclude_ids_ref=None,
     exclude_prior_docstores=None,
     key_salt: str = "",
@@ -396,21 +388,15 @@ def build_index(
                              override_num_blocks=n_blocks)
         keys = ds.map_batches(make_docstore_writer_fn(str(tmp_docs), exclude_ids_ref),
                               batch_format="pyarrow", batch_size=None)
-        # coalesce key blocks before the exchange: keys are ~50 B/doc, so
-        # one block per extract batch would make the sort all per-block
-        # overhead (keys stay a distributed Dataset — at crawl scale this
-        # groupby is the only part of dedup that shuffles at all).
         # materialize() here is deliberate and cheap (key rows only): it
-        # splits the extract map from the downstream all-to-all stages so
-        # the streaming executor's per-operator memory reservations don't
-        # throttle the expensive extract (measured: fused lineage 45.5s vs
-        # split 16-20s for the same P0 at 8 CPUs / 1M docs)
+        # splits the extract map from the all-to-all exchange below, whose
+        # per-operator memory reservations would otherwise throttle the
+        # expensive extract (measured: fused lineage 45.5s vs split 16-20s
+        # for the same P0 at 8 CPUs / 1M docs). The exchange itself groups
+        # the one-per-batch key blocks into partition tasks, so the keys
+        # need no repartition of their own.
         from ..ops.relational import exchange
 
-        # extra materialize BEFORE the repartition all-to-all: any
-        # all-to-all in the same lineage as the extract map makes the
-        # executor's per-operator reservations throttle the map (measured
-        # ~44% map utilization at 8 CPUs with the fused variant)
         keys = keys.materialize()
         n_prior = 0
         if exclude_prior_docstores:
@@ -426,7 +412,6 @@ def build_index(
                       if len(prior_parts) > 1 else prior_parts[0]).materialize()
                 n_prior = int(pk.count())
                 keys = keys.union(pk)
-        keys = keys.repartition(max(8, _n_cpus() // 2)).materialize()
         # whole-group integrity is load-bearing here (a split bucket would
         # silently keep duplicate docs) -> explicit exchange, not map_groups
         losers = exchange(keys, _find_losers, by="bucket", batch_format="pyarrow")
@@ -436,70 +421,38 @@ def build_index(
         if docs_dir.exists():
             shutil.rmtree(docs_dir)
         tmp_docs.rename(docs_dir)
-        n_losers = int(dropped["dropped"].sum()) if len(dropped) else 0
-        losers_dl = int(dropped["dropped_dl"].sum()) if len(dropped) else 0
-        # corpus stats fall out of the key rows for free (P1 needs no scan)
-        # prior sentinel rows carry dl=0, so only the count needs adjusting
         p0.seal(files=len(list(docs_dir.glob("*.parquet"))),
-                dup_losers_dropped=n_losers,
-                n_prior_keys=n_prior,
-                n_docs=int(keys.count()) - n_prior - n_losers,
-                total_dl=int(keys.sum("dl") or 0) - losers_dl)
+                dup_losers_dropped=int(dropped["dropped"].sum()) if len(dropped) else 0,
+                n_prior_keys=n_prior)
     metrics["phases"]["docstore"] = round(time.perf_counter() - t0, 3)
     doc_files = sorted(str(p) for p in docs_dir.glob("*.parquet"))
-    return _derive_index(out, doc_files, cfg, key, resume, metrics,
-                         from_p0=read_json(p0.path))
+    return _derive_index(out, doc_files, cfg, key, resume, metrics)
 
 
 def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
-                  resume: bool, metrics: dict, from_p0: dict | None = None) -> dict:
+                  resume: bool, metrics: dict) -> dict:
     """Everything after the docstore, in one place for every entry point
     (build_index, build_filtered_index, compact_index; append_index builds
-    through build_index): P1 corpus stats -> segment layout -> P2 hot
-    terms -> P3 segments -> metrics.json. Each phase seals its manifest
-    under ``key`` and is skipped on a resume with the same key.
-    ``from_p0`` is the sealed P0 manifest of a build from pages: its
-    key-row counts (n_docs, total_dl) give the stats with no scan. Without
-    it (a filtered subset, a compaction's union) the stats are a scan of
-    the ``dl`` column. The hot terms are one scan of ``doc_files`` under
-    the sample cut for every entry point — the files on disk are the only
-    truth — and no scan at all when the layout has one shard per term."""
+    through build_index): N -> segment layout -> P2 hot terms -> P3
+    segments (which writes stats.json) -> metrics.json. Each phase seals
+    its manifest under ``key`` and is skipped on a resume with the same
+    key. The sealed ``doc_files`` are the only truth: N is the sum of
+    their footer row counts, total_dl the sum of the SPIMI writers' token
+    tallies over them, and the hot terms one scan of them under the sample
+    cut (no scan at all when the layout has one shard per term)."""
     import shutil
 
-    phases = metrics["phases"]
+    import pyarrow.parquet as pq
 
-    # ---------------- P1: corpus stats --------------------------------
-    p1 = PhaseManifest(out, "stats", key)
+    phases = metrics["phases"]
     t0 = time.perf_counter()
-    if not (resume and p1.is_complete()):
-        if from_p0 is not None:
-            N, total_dl = int(from_p0["n_docs"]), int(from_p0["total_dl"])
-        elif doc_files:  # columnar scan of dl only
-            dls = rd.read_parquet(doc_files, columns=["dl"])
-            N, total_dl = int(dls.count()), int(dls.sum("dl") or 0)
-        else:
-            N = total_dl = 0
-        stats = {
-            "N": N,
-            "total_dl": total_dl,
-            "avgdl": (total_dl / N) if N else 0.0,
-            "k1": cfg.k1,
-            "b": cfg.b,
-            "block_size": cfg.block_size,
-            # artifact capability flag: appends/compacts check this instead
-            # of sniffing a segment's pos_payload column (ADVICE r2: that
-            # sniff read an entire binary column per append)
-            "store_positions": bool(cfg.store_positions),
-        }
-        atomic_write_json(out / "stats.json", stats)
-        p1.seal(**stats)
-    stats = read_json(out / "stats.json")
+    n_docs = sum(pq.ParquetFile(f).metadata.num_rows for f in doc_files)
     phases["stats"] = round(time.perf_counter() - t0, 3)
 
     # ---------------- segment layout: a pure function of N ------------
     # (checkpoint keys carry cfg's literal n_buckets plus the input
     # fingerprint that N derives from)
-    n_buckets, shard_bits = segment_layout(stats["N"], cfg)
+    n_buckets, shard_bits = segment_layout(n_docs, cfg)
     cfg = replace(cfg, n_buckets=n_buckets)
 
     # ---------------- P2: hot-term detection --------------------------
@@ -510,30 +463,32 @@ def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
     # a byte, so the scan is skipped and the set is empty.
     p2 = PhaseManifest(out, "hotterms", key)
     hot_path = out / "hot_terms.json"
-    sample = bool(shard_bits and stats["N"])
+    sample = bool(shard_bits and n_docs)
     t0 = time.perf_counter()
     if not (resume and p2.is_complete()):
-        hot, sampled_docs = _hot_terms(doc_files, stats["N"], cfg) if sample else ([], 0)
+        hot, sampled_docs = _hot_terms(doc_files, n_docs, cfg) if sample else ([], 0)
         atomic_write_json(hot_path, {"hot_terms": hot, "sampled_docs": sampled_docs})
         p2.seal(n_hot=len(hot), sampled_docs=sampled_docs)
     hot_terms = read_json(hot_path)["hot_terms"]
     phases["hotterms"] = round(time.perf_counter() - t0, 3) if sample else 0.0
 
-    # ---------------- P3: SPIMI partials -> exchange -> merged segments
+    # ---------------- P3: SPIMI partials -> stats -> exchange -> segments
     t0 = time.perf_counter()
-    if stats["N"]:
-        _segments_phase(out, doc_files, stats, hot_terms, cfg, key, resume)
+    if n_docs:
+        _segments_phase(out, doc_files, n_docs, hot_terms, cfg, key, resume)
     else:
         # empty corpus (a re-append of pages the index already owns, a
         # predicate that matches nothing, a compaction after every doc was
         # deleted): nothing to post, but every artifact a reader opens is
         # still written
+        _write_stats(out, 0, 0, cfg)
         shutil.rmtree(out / "segments", ignore_errors=True)
         (out / "segments").mkdir(parents=True)
         atomic_write_json(out / "segments_manifest.json", {"buckets": []})
         PhaseManifest(out, "segments", key).seal(n_buckets=0)
     phases["segments"] = round(time.perf_counter() - t0, 3)
 
+    stats = read_json(out / "stats.json")
     buckets = read_json(out / "segments_manifest.json")["buckets"]
     metrics.update(
         N=stats["N"],
@@ -551,6 +506,25 @@ def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
     metrics["postings_per_sec"] = round(metrics["n_postings"] / total, 1) if total else None
     atomic_write_json(out / "metrics.json", metrics)
     return metrics
+
+
+def _write_stats(out: Path, n_docs: int, total_dl: int, cfg: IndexConfig) -> dict:
+    """stats.json: the corpus stats BM25 and the merges' block-max bounds
+    use, plus the scoring config they were computed under."""
+    stats = {
+        "N": n_docs,
+        "total_dl": total_dl,
+        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
+        "k1": cfg.k1,
+        "b": cfg.b,
+        "block_size": cfg.block_size,
+        # artifact capability flag: appends/compacts check this instead
+        # of sniffing a segment's pos_payload column (ADVICE r2: that
+        # sniff read an entire binary column per append)
+        "store_positions": bool(cfg.store_positions),
+    }
+    atomic_write_json(out / "stats.json", stats)
+    return stats
 
 
 def _sample_cut(n_docs: int, cfg: IndexConfig) -> int:
@@ -598,11 +572,14 @@ def _hot_terms(doc_files: list[str], n_docs: int, cfg: IndexConfig) -> tuple[lis
     return sorted(pc.filter(terms, hot_mask).to_pylist()), sampled_docs
 
 
-def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: list[str],
+def _segments_phase(out: Path, doc_files: list[str], n_docs: int, hot_terms: list[str],
                     cfg: IndexConfig, key: str, resume: bool) -> None:
-    """P3 of _derive_index: tokenize + SPIMI partials -> per-bucket file
-    exchange -> largest-first merges -> atomic segment swap. ``cfg``
-    carries the resolved ``n_buckets``."""
+    """P3 of _derive_index: tokenize + SPIMI partials -> stats.json ->
+    per-bucket file exchange -> largest-first merges -> atomic segment
+    swap. Every posting lands in exactly one partial file, so the sum of
+    the files' token tallies is total_dl: avgdl comes from the same
+    tokenizer pass that writes the postings' dl stream. ``cfg`` carries the
+    resolved ``n_buckets``."""
     segments_dir = out / "segments"
     p3 = PhaseManifest(out, "segments", key)
     if not (resume and p3.is_complete()):
@@ -624,11 +601,14 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         )
         by_bucket: dict[int, list[str]] = {}
         bucket_postings: dict[int, int] = {}
+        total_dl = 0
         for w in writes.take_all():
             bk = int(w["bucket"])
             by_bucket.setdefault(bk, []).append(w["path"])
-            bucket_postings[bk] = bucket_postings.get(bk, 0) + int(w.get("postings") or 0)
+            bucket_postings[bk] = bucket_postings.get(bk, 0) + int(w["postings"])
+            total_dl += int(w["tokens"])
         _save_exec_stats(out, "p3-spimi-map", writes)
+        avgdl = _write_stats(out, n_docs, total_dl, cfg)["avgdl"]
 
         # reduce side: one task per bucket. On wide single boxes more than
         # ~16 concurrent merges just thrash shared memory bandwidth (see
@@ -661,7 +641,7 @@ def _segments_phase(out: Path, doc_files: list[str], stats: dict, hot_terms: lis
         merge_cpus = max(1, ncpu // target_conc)
         merge_task = ray.remote(num_cpus=merge_cpus)(merge_bucket_files)
         futs = [
-            merge_task.remote(by_bucket[bk], str(seg_tmp), stats["avgdl"], cfg,
+            merge_task.remote(by_bucket[bk], str(seg_tmp), avgdl, cfg,
                               total_postings=bucket_postings[bk])
             for bk in sorted(by_bucket, key=lambda b: -bucket_bytes[b])
         ]

@@ -34,13 +34,13 @@ the existing build machinery:
   (Indexer.java:83-89).
 
 Scale notes: cross-generation exclusion has two paths, picked by prior
-corpus size (EXCHANGE_EXCLUSION_THRESHOLD, estimated from parquet
-metadata). Small bases broadcast: the prior ids ship as one sorted int64
-array via ``ray.put`` (8 B/doc) and excluded pages are dropped before
-extraction. Large bases stream: prior ids enter the dedup key exchange as
-always-win sentinel rows (build.make_prior_keys_fn), so driver memory
-stays O(1) in the base size; re-crawled pages then pay extraction and are
-dropped by the ordinary loser rewrite. Compaction is one docstore scan
+corpus size (the snapshot's N against EXCHANGE_EXCLUSION_THRESHOLD).
+Small bases broadcast: the prior ids ship as one sorted int64 array via
+``ray.put`` (8 B/doc) and excluded pages are dropped before extraction.
+Large bases stream: prior ids enter the dedup key exchange as always-win
+sentinel rows (build.make_prior_keys_fn), so driver memory stays O(1) in
+the base size; re-crawled pages then pay extraction and are dropped by
+the ordinary loser rewrite. Compaction is one docstore scan
 plus the standard segments phase — no decode of existing generation
 segments.
 """
@@ -100,11 +100,10 @@ def append_index(
 
     Prior ownership is enforced one of two ways, reported as
     ``exclusion_mode``; both produce identical indexes (tested):
-    - "broadcast" (prior corpus up to EXCHANGE_EXCLUSION_THRESHOLD rows,
-      estimated from parquet metadata): collect prior ids (minus
-      tombstones) into one sorted array, ``ray.put`` once, filter at the
-      extraction door. Cheapest for small bases — excluded docs are never
-      extracted.
+    - "broadcast" (a snapshot N up to EXCHANGE_EXCLUSION_THRESHOLD):
+      collect prior ids (minus tombstones) into one sorted array,
+      ``ray.put`` once, filter at the extraction door. Cheapest for small
+      bases — excluded docs are never extracted.
     - "exchange" (larger priors): stream prior ids into the dedup key
       exchange as always-win sentinel rows (build.make_prior_keys_fn).
       O(1) driver memory regardless of base size; re-crawled docs pay
@@ -116,9 +115,10 @@ def append_index(
     gen_dir = layout.next_generation_dir(state)
     # exclusion set = prior-owned ids MINUS their pending tombstones, so a
     # deleted doc is re-addable (the tombstone's upto_gen predates the new
-    # generation, which therefore serves the fresh copy)
-    n_prior = sum(pq.ParquetFile(f).metadata.num_rows for f in state.docs)
-    exclusion = "exchange" if n_prior > EXCHANGE_EXCLUSION_THRESHOLD else "broadcast"
+    # generation, which therefore serves the fresh copy). Each generation's
+    # N is its docstore row count, so the snapshot's N sizes the prior.
+    exclusion = ("exchange" if state.stats["N"] > EXCHANGE_EXCLUSION_THRESHOLD
+                 else "broadcast")
     t0 = time.perf_counter()
     if exclusion == "broadcast":
         parts = [np.empty(0, np.int64)]

@@ -1099,27 +1099,6 @@ def q33_bm25_topk(sf: str):
     return _hits_to_orig_topk(ix, hits)
 
 
-SQL_Q33 = """
-WITH toks AS (
-  SELECT doc_id, unnest(regexp_split_to_array(lower(text), '[^a-z0-9]+')) AS term FROM documents),
-toks2 AS (SELECT doc_id, term FROM toks WHERE term <> ''),
-dl AS (SELECT doc_id, count(*) AS dl FROM toks2 GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM documents) AS n_docs,
-                 (SELECT count(*) FROM toks2) * 1.0 / (SELECT count(*) FROM documents) AS avgdl),
-tf AS (SELECT doc_id, term, count(*) AS tf FROM toks2
-       WHERE term IN ('hash','merge','scan') GROUP BY doc_id, term),
-df AS (SELECT term, count(*) AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT tf.doc_id,
-         sum( ln(1 + (stats.n_docs - df.df + 0.5)/(df.df + 0.5))
-              * (tf.tf * 1.9) / (tf.tf + 0.9 * (1 - 0.4 + 0.4 * (dl.dl / stats.avgdl))) ) AS score
-  FROM tf JOIN df ON tf.term = df.term JOIN dl ON tf.doc_id = dl.doc_id CROSS JOIN stats
-  GROUP BY tf.doc_id)
-SELECT doc_id, floor(score * 1000000 + 0.5) / 1000000 AS score_r
-FROM scores ORDER BY score_r DESC, doc_id LIMIT 10
-"""
-
-
 # the q33 BM25 CTE stack, shared by the serving-feature oracles (fq /
 # facet / collapse below score or match the SAME query the same way)
 _SQL_BM25_CTES = """
@@ -1138,6 +1117,12 @@ scores AS (
               * (tf.tf * 1.9) / (tf.tf + 0.9 * (1 - 0.4 + 0.4 * (dl.dl / stats.avgdl))) ) AS score
   FROM tf JOIN df ON tf.term = df.term JOIN dl ON tf.doc_id = dl.doc_id CROSS JOIN stats
   GROUP BY tf.doc_id)
+"""
+
+
+SQL_Q33 = _SQL_BM25_CTES + """\
+SELECT doc_id, floor(score * 1000000 + 0.5) / 1000000 AS score_r
+FROM scores ORDER BY score_r DESC, doc_id LIMIT 10
 """
 
 

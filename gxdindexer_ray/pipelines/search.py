@@ -696,16 +696,16 @@ class ServingFeaturesMixin:
         import math
         from collections import Counter
 
+        from ..query.bm25 import idf
+
         text = self._texts_for([int(doc_id)]).get(int(doc_id))
         if not text:
             return []
         tf = Counter(tokenize(text))
         stats = self.reader.term_stats(sorted(tf))
-        n_docs = self.reader.N
         scored = []
         for t, (df, _cf) in stats.items():
-            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            m = math.floor(tf[t] * idf * 1_000_000 + 0.5) / 1_000_000
+            m = math.floor(tf[t] * idf(self.reader.N, df) * 1_000_000 + 0.5) / 1_000_000
             scored.append((-m, t))
         scored.sort()
         terms = [t for _m, t in scored[:max_terms]]

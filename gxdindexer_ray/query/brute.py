@@ -47,8 +47,9 @@ def _weighted_postings(term_rows: dict[str, list[dict]], N: int,
 
 def _rank(docs: list[np.ndarray], scores: list[np.ndarray],
           k: int) -> list[tuple[int, float]]:
-    """Sum contributions per doc in list order, rank (score desc, doc asc)."""
-    if not docs:
+    """Sum contributions per doc in list order, rank (score desc, doc asc).
+    ``k <= 0`` asks for no hits (a negative slice would drop the tail)."""
+    if not docs or k <= 0:
         return []
     uniq, inv = np.unique(np.concatenate(docs), return_inverse=True)
     acc = np.zeros(uniq.size, dtype=np.float64)

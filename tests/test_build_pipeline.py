@@ -81,11 +81,9 @@ def test_postings_identical(built, oracle_1k):
     assert hot_seen >= 1  # the zerg term must have gone through sharding
 
 
-def test_stats_match(built, oracle_1k):
+def test_stats_match(built, oracle_1k, check_stats):
     out, _ = built
-    from gxdindexer_ray.state.manifest import read_json
-
-    stats = read_json(out / "stats.json")
+    stats = check_stats(out)  # N from the docstore, total_dl from the segments
     assert stats["N"] == oracle_1k.N
     assert stats["total_dl"] == oracle_1k.total_dl
     assert stats["avgdl"] == oracle_1k.avgdl
@@ -105,6 +103,29 @@ def test_topk_rank_identical(built, oracle_1k):
             assert got == expected, f"{method} mismatch on {q}"
         nonempty += bool(expected)
     assert nonempty > 40
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_topk_nonpositive_k_is_empty(built, k):
+    """Every scorer answers k <= 0 with no hits. (A negative k once
+    sliced the ranking, so brute and candidate scoring returned every hit
+    but the last while block-max WAND returned none.)"""
+    from gxdindexer_ray.pipelines import SearchEngine
+    from gxdindexer_ray.query.brute import brute_force_topk, candidate_topk, decoded
+    from gxdindexer_ray.query.wand import block_max_wand_topk
+
+    out, _ = built
+    eng = SearchEngine(out, warm_top_terms=0)
+    r = eng.reader
+    rows = r.fill_columns(r.fetch_terms([HOT_TERM]))
+    cand = np.concatenate([pl.doc_ids for pl in decoded(rows[HOT_TERM], r.block_size)])
+    assert len(eng.topk(HOT_TERM, 10)) == 10
+    kw = dict(N=r.N, avgdl=r.avgdl, k1=r.k1, b=r.b, block_size=r.block_size, k=k)
+    assert brute_force_topk(rows, **kw) == []
+    assert candidate_topk(rows, cand, **kw) == []
+    assert block_max_wand_topk(rows, **kw) == []
+    for method in ("auto", "brute", "bmw"):
+        assert eng.topk(HOT_TERM, k, method) == []
 
 
 def test_batch_search_matches(built, oracle_1k, ray_session):

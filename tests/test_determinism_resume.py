@@ -36,7 +36,8 @@ def test_segments_invariant_to_batching(ray_session, pages_1k, tmp_path):
     assert read_json(a / "stats.json") == read_json(b / "stats.json")
 
 
-def test_one_hot_sample_rule_for_every_entry_point(ray_session, pages_1k, tmp_path):
+def test_one_hot_sample_rule_for_every_entry_point(ray_session, pages_1k, tmp_path,
+                                                  check_stats):
     """P2 samples the sealed docstore under the cut of the post-dedup N,
     whichever entry point wrote it. A corpus in which every page has a
     later-crawled copy, built from pages, rebuilt through a match-all
@@ -69,10 +70,10 @@ def test_one_hot_sample_rule_for_every_entry_point(ray_session, pages_1k, tmp_pa
     compact_index(compacted, cfg)
 
     hot = read_json(built / "hot_terms.json")
-    n = read_json(built / "stats.json")["N"]
+    n = check_stats(built)["N"]
     assert hot["hot_terms"] and 0 < hot["sampled_docs"] < n
     for other in (filtered, compacted):
-        assert read_json(other / "stats.json")["N"] == n
+        assert check_stats(other)["N"] == n
         assert read_json(other / "hot_terms.json") == hot
         assert _segment_bytes(other) == _segment_bytes(built)
 
@@ -90,14 +91,18 @@ def test_resume_skips_completed_phases(ray_session, pages_1k, tmp_path):
     assert {f.name: f.stat().st_mtime_ns for f in (out / "docs").glob("*.parquet")} == docs_mtimes
     assert m["phases"]["docstore"] < 0.5
 
-    # simulate a crash mid-P3: segments gone, manifest unsealed
+    # simulate a crash mid-P3: segments and stats.json gone, manifest
+    # unsealed (P3 writes stats.json between the SPIMI map and the merges)
+    ref_stats = (out / "stats.json").read_bytes()
     shutil.rmtree(out / "segments")
+    (out / "stats.json").unlink()
     (out / "_manifests" / "phase-segments.json").unlink()
     m2 = build_index(pages_1k, out, CFG)
     # docstore still skipped...
     assert {f.name: f.stat().st_mtime_ns for f in (out / "docs").glob("*.parquet")} == docs_mtimes
-    # ...and rebuilt segments are byte-identical
+    # ...and rebuilt segments and stats are byte-identical
     assert _segment_bytes(out) == ref_segments
+    assert (out / "stats.json").read_bytes() == ref_stats
     # per-bucket lineage rows present
     manifest = read_json(out / "segments_manifest.json")
     assert len(manifest["buckets"]) >= 1

@@ -52,10 +52,12 @@ def appended_and_ref(corpora):
     return idx, ref, m
 
 
-def test_append_global_stats_match_full_rebuild(appended_and_ref):
+def test_append_global_stats_match_full_rebuild(appended_and_ref, check_stats):
     from gxdindexer_ray.index.layout import open_index
 
     idx, ref, m = appended_and_ref
+    for d in (idx, Path(idx) / "gen-0001", ref):
+        check_stats(d)
     gi = open_index(idx).stats
     gr = read_json(Path(ref) / "stats.json")
     assert gi["N"] == gr["N"]
@@ -154,7 +156,7 @@ def test_mixed_layout_lifecycle(corpora, tmp_path):
     check(engc, compacted, set())
 
 
-def test_append_dedups_across_generations(corpora, tmp_path):
+def test_append_dedups_across_generations(corpora, tmp_path, check_stats):
     """A delta that re-crawls docs already owned by the base: the base copy
     wins (first-wins across generations), matching a from-scratch build of
     the concatenation when the re-crawl carries later timestamps."""
@@ -189,7 +191,8 @@ def test_append_dedups_across_generations(corpora, tmp_path):
     base_n = read_json(idx / "stats.json")["N"]  # < 1000: fixture plants dup urls
     assert m["excluded_prior_docs"] == base_n
     gi = open_index(idx).stats
-    gr = read_json(ref / "stats.json")
+    gr = check_stats(ref)
+    check_stats(idx / "gen-0001")
     assert gi["N"] == gr["N"]
     assert gi["total_dl"] == gr["total_dl"]
     assert IndexReader(idx, warm_top_terms=0).term_stats() == \
@@ -197,7 +200,7 @@ def test_append_dedups_across_generations(corpora, tmp_path):
 
 
 def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, check_stats):
     """The exchange exclusion path (prior ids co-partitioned through the
     dedup key exchange as always-win sentinel rows — the O(1)-driver-memory
     scale path, forced here by lowering EXCHANGE_EXCLUSION_THRESHOLD) must
@@ -233,6 +236,7 @@ def test_append_exchange_exclusion_matches_broadcast(ray_session, corpora, tmp_p
 
     gb, gx = open_index(idx_b).stats, open_index(idx_x).stats
     assert gb["N"] == gx["N"] and gb["total_dl"] == gx["total_dl"]
+    assert check_stats(idx_b / "gen-0001") == check_stats(idx_x / "gen-0001")
     assert IndexReader(idx_b, warm_top_terms=0).term_stats() == \
         IndexReader(idx_x, warm_top_terms=0).term_stats()
     # the delta generation's segment artifacts are byte-identical
@@ -273,7 +277,7 @@ def test_append_exchange_respects_tombstones(ray_session, tmp_path, monkeypatch)
     assert [h for h, _ in hits] == [victim]
 
 
-def test_compact_restores_single_build_layout(appended_and_ref, corpora):
+def test_compact_restores_single_build_layout(appended_and_ref, corpora, check_stats):
     from gxdindexer_ray.pipelines import compact_index
 
     idx, ref, _ = appended_and_ref
@@ -285,7 +289,7 @@ def test_compact_restores_single_build_layout(appended_and_ref, corpora):
     assert si.keys() == sr.keys()
     for name in si:
         assert si[name] == sr[name], f"segment {name} differs from full rebuild"
-    assert read_json(Path(idx) / "stats.json") == read_json(Path(ref) / "stats.json")
+    assert check_stats(idx) == read_json(Path(ref) / "stats.json")
 
 
 def test_compact_crash_window_recovers(ray_session, corpora, tmp_path):
@@ -617,7 +621,7 @@ def test_serving_features_across_generations(ray_session, tmp_path):
 @pytest.mark.parametrize("case", ["reappend_broadcast", "reappend_exchange",
                                   "filtered_no_match", "compact_all_deleted",
                                   "zero_tokens"])
-def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
+def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case, check_stats):
     """Every lifecycle entry point must handle a step that leaves nothing
     to index: a re-append of pages the index already owns (both exclusion
     paths), a filtered build whose predicate matches no doc, a
@@ -657,6 +661,7 @@ def test_empty_corpus_lifecycle(ray_session, tmp_path, monkeypatch, case):
         delete_docs(idx, [doc_id_of(u) for u, _ in docs])
         compact_index(idx, CFG)
         assert not (idx / "compacting.json").exists()
+    check_stats(idx / "gen-0001" if case.startswith("reappend") else out)
     eng = SearchEngine(out, warm_top_terms=0)
     n_live = 0 if case in ("filtered_no_match", "compact_all_deleted") else len(docs)
     assert eng.reader.N == oracle.N == n_live
@@ -744,7 +749,7 @@ def test_snapshot_snippets_keep_old_text(ray_session, tmp_path):
     assert SearchEngine(idx, warm_top_terms=0).snippets_for([x], ["kiwi"]) == {x: "kiwi newword"}
 
 
-def test_filtered_index_spans_generations_and_tombstones(ray_session, tmp_path):
+def test_filtered_index_spans_generations_and_tombstones(ray_session, tmp_path, check_stats):
     """A match-all filtered build over a base, an appended generation and
     a tombstone indexes the live corpus: its N and (term, df, cf) lexicon
     equal a build over the live pages."""
@@ -771,6 +776,7 @@ def test_filtered_index_spans_generations_and_tombstones(ray_session, tmp_path):
     _mini_corpus(live, [d for d in base_docs if d[0] != "https://f.example/7"] + delta_docs)
     ref = tmp_path / "fref"
     build_index(live, ref, CFG)
+    assert check_stats(out) == check_stats(ref)
     got, want = IndexReader(out, warm_top_terms=0), IndexReader(ref, warm_top_terms=0)
     assert got.N == want.N == 49
     assert got.term_stats() == want.term_stats()
