@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 
-from .varint import varint_decode, varint_encode_segments
+from .varint import varint_decode, varint_decode_runs, varint_encode_segments
 
 
 @dataclass
@@ -54,8 +54,10 @@ def _dead_mask(doc_ids: np.ndarray, dead: np.ndarray) -> np.ndarray | None:
     if dead is None or len(dead) == 0 or doc_ids.size == 0:
         return None
     # match doc_ids' uint64 dtype: a mixed int64/uint64 searchsorted would
-    # go through float64 and lose exactness above 2^53
-    dead = np.asarray(dead, dtype=np.int64).astype(np.uint64)
+    # go through float64 and lose exactness above 2^53. The reader casts
+    # each generation's ids once (index.reader.build_lexicon), so this is
+    # a no-op on its rows
+    dead = np.asarray(dead, dtype=np.uint64)
     pos = np.searchsorted(dead, doc_ids)
     pos_c = np.minimum(pos, dead.size - 1)
     hit = dead[pos_c] == doc_ids
@@ -188,24 +190,57 @@ def encode_postings(
     return {k: v[0].as_py() for k, v in cols.items() if k not in ("df", "cf")}
 
 
-def decode_postings(row: dict, *, block_size: int) -> PostingList:
-    """Decode a full posting list from a segment-row payload dict.
+_PAYLOADS = ("docs_payload", "tfs_payload", "dls_payload")
+
+
+def decode_runs(docs_pay: list, tfs_pay: list, dls_pay: list,
+                n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode many posting lists at once: list i has ``n[i]`` postings
+    and payloads ``docs_pay[i]``, ``tfs_pay[i]``, ``dls_pay[i]``. Returns
+    the concatenated (doc_ids, tfs, dls), uint64, in list order.
+
+    One varint pass over all the payloads (each still count-checked on
+    its own, so a corrupt row raises ``ValueError``), then one segmented
+    prefix sum: a global cumsum of the gaps minus each list's base (the
+    first gap of each list is absolute). uint64 arithmetic wraps, so the
+    difference is exact even when the global cumsum overflows."""
+    n = np.asarray(n, dtype=np.int64)
+    total = int(n.sum())
+    vals = varint_decode_runs([*docs_pay, *tfs_pay, *dls_pay], np.tile(n, 3))
+    cs = np.cumsum(vals[:total], dtype=np.uint64)
+    base = np.concatenate([np.zeros(1, np.uint64), cs])[np.cumsum(n) - n]
+    return cs - np.repeat(base, n), vals[total:2 * total], vals[2 * total:]
+
+
+def decode_postings_many(rows: list[dict]) -> list[PostingList]:
+    """Decode many segment rows in one batched pass (``decode_runs``);
+    equal, list for list, to ``decode_postings`` on each row.
 
     If the reader attached a sorted tombstone array under ``row["_dead"]``
     (deleted docs awaiting compaction), those postings are masked out here
     — every scorer and candidate path excludes them automatically, and
     ``kept`` records the surviving encoded indices for position decode."""
-    n = int(row["n_postings"])
-    gaps = varint_decode(row["docs_payload"], count=n)
-    tfs = varint_decode(row["tfs_payload"], count=n)
-    dls = varint_decode(row["dls_payload"], count=n)
-    doc_ids = np.cumsum(gaps, dtype=np.uint64)
-    keep = _dead_mask(doc_ids, row.get("_dead"))
-    if keep is None:
-        return PostingList(doc_ids=doc_ids, tfs=tfs, dls=dls)
-    kept = np.flatnonzero(keep)
-    return PostingList(doc_ids=doc_ids[kept], tfs=tfs[kept], dls=dls[kept],
-                       kept=kept)
+    n = np.fromiter((r["n_postings"] for r in rows), np.int64, len(rows))
+    doc_ids, tfs, dls = decode_runs(*([r[c] for r in rows] for c in _PAYLOADS), n)
+    ends = np.cumsum(n).tolist()
+    out = []
+    for r, s, e in zip(rows, [0, *ends[:-1]], ends):
+        d, t, l = doc_ids[s:e], tfs[s:e], dls[s:e]
+        keep = _dead_mask(d, r.get("_dead"))
+        if keep is None:
+            out.append(PostingList(doc_ids=d, tfs=t, dls=l))
+        else:
+            kept = np.flatnonzero(keep)
+            out.append(PostingList(doc_ids=d[kept], tfs=t[kept], dls=l[kept],
+                                   kept=kept))
+    return out
+
+
+def decode_postings(row: dict, *, block_size: int) -> PostingList:
+    """Decode a full posting list from a segment-row payload dict (the
+    one-row case of ``decode_postings_many``; ``block_size`` is unused by
+    a full decode, kept for symmetry with ``decode_block``)."""
+    return decode_postings_many([row])[0]
 
 
 def decode_positions(row: dict, pl: PostingList) -> tuple[np.ndarray, np.ndarray]:

@@ -111,13 +111,40 @@ def varint_decode(buf: bytes | memoryview | np.ndarray, count: int | None = None
     return vals
 
 
-def _decode_all(b: np.ndarray) -> np.ndarray:
-    term = (b & 0x80) == 0
-    n = int(term.sum())
+def varint_decode_runs(bufs: list, counts: np.ndarray) -> np.ndarray:
+    """Decode several LEB128 streams in ONE pass over their concatenation
+    (the values of stream i follow those of stream i-1).
+
+    Validated per stream, as one ``varint_decode(buf, count=...)`` call
+    per stream would be: raises ``ValueError`` unless stream i holds
+    exactly ``counts[i]`` whole values (a stream cut inside a value would
+    otherwise lend its tail to the next one)."""
+    b = np.frombuffer(b"".join(bufs), dtype=np.uint8)
+    stops = np.flatnonzero(b < 0x80)  # each value's last byte
+    c = np.cumsum(counts, dtype=np.int64)
+    total = int(c[-1]) if c.size else 0
+    if stops.size != total:
+        raise ValueError(f"varint streams decoded {stops.size} values, expected {total}")
+    # stream i must end with the last byte of value c[i] (value 0: byte -1)
+    ends = np.cumsum(np.fromiter(map(len, bufs), np.int64, len(bufs)))
+    bad = np.flatnonzero(np.concatenate([[-1], stops])[c] != ends - 1)
+    if bad.size:
+        raise ValueError(f"varint stream {int(bad[0])} does not hold its "
+                         f"{int(np.asarray(counts)[bad[0]])} values")
+    if b.size > _DECODE_CHUNK_BYTES:
+        return varint_decode(b)
+    return _decode_all(b, stops) if total else np.empty(0, dtype=np.uint64)
+
+
+def _decode_all(b: np.ndarray, stops: np.ndarray | None = None) -> np.ndarray:
+    """Values of ``b``; ``stops`` (each value's last byte) when known."""
+    if stops is None:
+        stops = np.flatnonzero((b & 0x80) == 0)
+    n = stops.size
     starts = np.empty(n, dtype=np.int64)
     starts[0] = 0
     if n > 1:
-        starts[1:] = np.flatnonzero(term)[:-1] + 1
+        starts[1:] = stops[:-1] + 1
     lengths = np.diff(np.append(starts, b.size))
     shifts = (np.arange(b.size, dtype=np.int64) - np.repeat(starts, lengths)).astype(np.uint64)
     contrib = (b & 0x7F).astype(np.uint64) << (np.uint64(7) * shifts)

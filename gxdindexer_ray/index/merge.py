@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..codecs.postings import encode_postings_bulk_arrow
+from ..codecs.postings import decode_runs, encode_postings_bulk_arrow
 from ..codecs.varint import varint_decode, varint_encode_segments
 from ..config import IndexConfig
 
@@ -134,19 +134,11 @@ def _merge_rows(group: pa.Table, segments_dir: str, avgdl: float, cfg: IndexConf
     bytes_in = sum(len(d_pay[i]) + len(t_pay[i]) + len(l_pay[i]) for i in range(n_rows))
     bytes_in += sum(len(p) for p in p_pay if p is not None)
 
-    # Vectorized bulk decode: 3 varint_decode calls for the WHOLE bucket
-    # (per-partial decode costs ~3 numpy calls x millions of partials).
+    # Vectorized bulk decode: one varint pass for the WHOLE bucket (the
+    # query kernel's decode; per-partial decode costs ~3 numpy calls x
+    # millions of partials).
     total = int(n_post.sum())
-    gaps_all = varint_decode(b"".join(d_pay), count=total)
-    tfs_all = varint_decode(b"".join(t_pay), count=total)
-    dls_all = varint_decode(b"".join(l_pay), count=total)
-    ends = np.cumsum(n_post)
-    starts = ends - n_post
-    # per-partial doc_ids: global cumsum minus each partial's base offset
-    cs = np.cumsum(gaps_all, dtype=np.uint64)
-    base = np.zeros(n_rows, dtype=np.uint64)
-    base[1:] = cs[ends[:-1] - 1]
-    docs_all = cs - np.repeat(base, n_post)
+    docs_all, tfs_all, dls_all = decode_runs(d_pay, t_pay, l_pay, n_post)
 
     # one global posting-level sort by (term, shard, doc): term codes are
     # ranks in the sorted unique-term order, so output row order is the

@@ -79,10 +79,13 @@ def build_lexicon(index: str | Path | IndexState) -> dict:
     for g in state.generations:
         davg = float(g.stats["avgdl"])
         scale = max(1.0, state.stats["avgdl"] / davg) if davg > 0 else 1.0
+        # cast once to the decoded doc ids' uint64 (ids are 63-bit, so the
+        # int64 order holds), not per decoded row or block
+        dead = g.dead.astype(np.uint64) if g.dead.size else None
         for f in g.segments:
             files.append(f)
             bm_scale.append(scale)
-            dead_by_file.append(g.dead if g.dead.size else None)
+            dead_by_file.append(dead)
     parts = [_LEX_SCHEMA.empty_table()]
     for fi, f in enumerate(files):
         pf = pq.ParquetFile(f)
@@ -204,8 +207,11 @@ class IndexReader:
         # order and the shard sort below leaves them in (shard, file) order
         for key, items in sorted(wanted.items()):
             dead = self._dead_by_file[key[0]]
-            rows = results[key].take([row for _, row in items]).to_pylist()
-            for (t, row), r in zip(items, rows):
+            # scalar access per wanted row: a query wants one or two rows
+            # of a group, where Table.take + to_pylist costs ~4x as much
+            cols = [(c, results[key].column(c)) for c in SCORER_COLUMNS]
+            for t, row in items:
+                r = {c: col[row].as_py() for c, col in cols}
                 r["_at"] = (*key, row)
                 if dead is not None:
                     # pending tombstones: the codec masks these doc_ids

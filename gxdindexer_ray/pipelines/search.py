@@ -26,10 +26,11 @@ class PhraseAndBooleanMixin:
       docID arrays) -> BM25-score the survivors; ranks/scores match the
       oracle because survivors are scored with the standard scorer.
     - phrase: candidate docs = AND of the phrase terms' postings, then
-      exact adjacency verification against the doc-store text (docstore
-      files are doc_id-sorted, so the candidate reads are pruned
-      row-group reads, not scans). This is the verify-on-candidates design:
-      no positions in the postings, exact results, cost bounded by the
+      exact adjacency verification of each candidate: from the postings'
+      position streams when the index was built with ``store_positions``
+      (no docstore read), else against the doc-store text (docstore files
+      are doc_id-sorted, so the candidate reads are pruned row-group
+      reads, not scans). Exact results either way, cost bounded by the
       rarest term's df."""
 
     def _score_candidates(self, terms: list[str], cand, k: int) -> list[tuple[int, float]]:
@@ -52,10 +53,8 @@ class PhraseAndBooleanMixin:
         term_rows = self.reader.fetch_terms(sorted(set(terms)))
         if len(term_rows) < len(set(terms)):
             return np.empty(0, dtype=np.uint64)  # some term matches nothing
-        sets = []
-        for t, rows in term_rows.items():
-            pls = decoded(rows, self.reader.block_size)
-            sets.append(np.concatenate([pl.doc_ids for pl in pls]))
+        sets = [np.concatenate([pl.doc_ids for pl in pls])
+                for pls in decoded(term_rows).values()]
         sets.sort(key=len)
         cand = sets[0]
         for s in sets[1:]:
@@ -75,8 +74,8 @@ class PhraseAndBooleanMixin:
         must_not = [t for m in (must_not or []) for t in tokenize(m)]
         cand = self._candidate_docs(must)
         if cand.size and must_not:
-            for t, rows in self.reader.fetch_terms(sorted(set(must_not))).items():
-                excl = np.concatenate([pl.doc_ids for pl in decoded(rows, self.reader.block_size)])
+            for pls in decoded(self.reader.fetch_terms(sorted(set(must_not)))).values():
+                excl = np.concatenate([pl.doc_ids for pl in pls])
                 cand = np.setdiff1d(cand, excl, assume_unique=True)
         if cand.size == 0:
             return []
@@ -126,10 +125,9 @@ class PhraseAndBooleanMixin:
 
         # per term: (sorted doc array, offsets, positions) across shards
         per_term: dict[str, list] = {}
-        for t, rows in term_rows.items():
+        for t, pls in decoded(term_rows).items():
             parts = []
-            for r, pl in zip(sorted(rows, key=lambda r: int(r["shard"])),
-                             decoded(rows, self.reader.block_size)):
+            for r, pl in zip(sorted(term_rows[t], key=lambda r: int(r["shard"])), pls):
                 off, pos = decode_positions(r, pl)
                 parts.append((pl.doc_ids, off, pos))
             per_term[t] = parts
@@ -468,8 +466,7 @@ class ServingFeaturesMixin:
         if not terms:
             return np.empty(0, dtype=np.uint64)
         term_rows = self.reader.fetch_terms(sorted(set(terms)))
-        sets = [pl.doc_ids for rows in term_rows.values()
-                for pl in decoded(rows, self.reader.block_size)]
+        sets = [pl.doc_ids for pls in decoded(term_rows).values() for pl in pls]
         if not sets:
             return np.empty(0, dtype=np.uint64)
         return np.unique(np.concatenate(sets))
@@ -760,10 +757,13 @@ class SearchEngine(PhraseAndBooleanMixin, ServingFeaturesMixin):
         self.reader = IndexReader(index_dir, warm_top_terms=warm_top_terms,
                                   lexicon=lexicon)
 
-    # up to this many candidate postings, "auto" scores exhaustively
-    # (vectorized numpy) instead of with block-max WAND. The crossover is
-    # unmeasured: WAND measured slower than brute at 4k, 20k and 200k docs,
-    # so the cut-off only keeps brute for every corpus measured so far.
+    # up to this many candidate postings, "auto" scores with the exhaustive
+    # kernel (query/brute.py) instead of block-max WAND. With decode and tf
+    # factors memoized per cached row, a query costs one stable sort and one
+    # in-order add over its postings: ~0.4 ms for the ~6,500 postings of a
+    # perfbench head query on 1 CPU, where WAND takes ~25 ms. The crossover
+    # is unmeasured: WAND measured slower than brute at 4k, 20k and 200k
+    # docs, so the cut-off only keeps brute for every corpus measured so far.
     AUTO_BRUTE_MAX_POSTINGS = 5_000_000
 
     def topk(self, query: str, k: int, method: str = "auto",

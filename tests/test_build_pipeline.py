@@ -118,7 +118,7 @@ def test_topk_nonpositive_k_is_empty(built, k):
     eng = SearchEngine(out, warm_top_terms=0)
     r = eng.reader
     rows = r.fill_columns(r.fetch_terms([HOT_TERM]))
-    cand = np.concatenate([pl.doc_ids for pl in decoded(rows[HOT_TERM], r.block_size)])
+    cand = np.concatenate([pl.doc_ids for pl in decoded(rows)[HOT_TERM]])
     assert len(eng.topk(HOT_TERM, 10)) == 10
     kw = dict(N=r.N, avgdl=r.avgdl, k1=r.k1, b=r.b, block_size=r.block_size, k=k)
     assert brute_force_topk(rows, **kw) == []
@@ -294,7 +294,7 @@ def test_positional_index(ray_session, pages_1k, tmp_path_factory, oracle_1k):
     from gxdindexer_ray.query.brute import decoded
 
     url_of = {d: u for d, (u, _) in oracle_1k.docs.items()}
-    for r, pl in zip(sorted(rows, key=lambda r: r["shard"]), decoded(rows, CFG.block_size)):
+    for r, pl in zip(sorted(rows, key=lambda r: r["shard"]), decoded({term: rows})[term]):
         off, pos = decode_positions(r, pl)
         for i, did in enumerate(pl.doc_ids[:20]):
             toks = tokenize(oracle_1k.text_by_url[url_of[int(did)]])

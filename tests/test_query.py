@@ -210,3 +210,208 @@ def test_symspell_prunes_candidates():
     # mixed distances coexist (dict keyed by max_dist, no eviction)
     eng.spellcheck(q, k=10, max_dist=2)
     assert set(eng._symspell_cache) == {1, 2}
+
+
+# ---- the batched exhaustive kernel -----------------------------------------
+
+def _reference_decode(row):
+    """A row decoded the way the scorers did before the batched kernel:
+    one varint pass per stream, a plain cumsum, and a Python-set
+    tombstone test (exact for any 63-bit id)."""
+    from gxdindexer_ray.codecs.varint import varint_decode
+
+    n = int(row["n_postings"])
+    docs = np.cumsum(varint_decode(row["docs_payload"], count=n), dtype=np.uint64)
+    tfs = varint_decode(row["tfs_payload"], count=n)
+    dls = varint_decode(row["dls_payload"], count=n)
+    dead = {int(d) for d in row.get("_dead", ())}
+    keep = np.array([int(d) not in dead for d in docs], dtype=bool)
+    if keep.all():
+        return docs, tfs, dls, None
+    kept = np.flatnonzero(keep)
+    return docs[kept], tfs[kept], dls[kept], kept
+
+
+def _random_rows(rng, n_rows):
+    """Encoded rows of random sizes (1 to ~600 postings, so some span
+    several blocks) with ids across the whole 63-bit range, each with a
+    tombstone pattern: none, the first posting, the last, every posting,
+    a random subset, or ids next to live ones above 2^53 that float64
+    could not tell apart."""
+    rows = []
+    for i in range(n_rows):
+        n = int(rng.choice([1, 2, 7, 128, 129, 600]))
+        docs = np.unique(rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)).astype(np.uint64)
+        tfs = rng.integers(1, 300, size=docs.size).astype(np.uint64)
+        dls = rng.integers(1, 5000, size=docs.size).astype(np.uint64)
+        row = encode_postings(PostingList(docs, tfs, dls), block_size=128,
+                              avgdl=100.0, k1=0.9, b=0.4)
+        row["shard"] = 0
+        kind = i % 6
+        dead = {0: [], 1: docs[:1], 2: docs[-1:], 3: docs,
+                4: rng.choice(docs, size=max(1, docs.size // 3), replace=False),
+                5: np.concatenate([docs[docs > 2**53] + np.uint64(1),
+                                   docs[docs > 2**53] - np.uint64(1)])}[kind]
+        dead = np.setdiff1d(dead, docs) if kind == 5 else dead
+        if len(dead):
+            row["_dead"] = np.unique(np.asarray(dead, dtype=np.uint64))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 16])
+def test_batched_decode_equals_per_row(chunk_bytes, monkeypatch):
+    """The kernel's one-pass decode of many rows equals decoding each row
+    on its own: doc ids, tfs, dls and the tombstone ``kept`` indices. With
+    ``chunk_bytes`` the concatenated payload takes the chunked varint
+    path."""
+    from gxdindexer_ray.codecs import varint
+    from gxdindexer_ray.codecs.postings import decode_postings, decode_postings_many
+
+    if chunk_bytes is not None:
+        monkeypatch.setattr(varint, "_DECODE_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        rows = _random_rows(rng, int(rng.integers(1, 14)))
+        got = decode_postings_many(rows)
+        assert len(got) == len(rows)
+        for row, pl in zip(rows, got):
+            docs, tfs, dls, kept = _reference_decode(row)
+            one = decode_postings(row, block_size=128)
+            for x in (pl, one):
+                assert x.doc_ids.dtype == np.uint64
+                assert np.array_equal(x.doc_ids, docs)
+                assert np.array_equal(x.tfs, tfs) and np.array_equal(x.dls, dls)
+                assert (x.kept is None) == (kept is None)
+                if kept is not None:
+                    assert np.array_equal(x.kept, kept)
+    assert decode_postings_many([]) == []
+
+
+def test_batched_decode_rejects_corrupt_rows():
+    """A row whose payload does not hold its n_postings values raises
+    ValueError in a batch, even when the batch's totals still agree."""
+    from gxdindexer_ray.codecs.postings import decode_postings_many
+
+    rows = _random_rows(np.random.default_rng(5), 6)
+    for col in ("docs_payload", "tfs_payload", "dls_payload"):
+        for i in (0, 3, 5):
+            cut = [dict(r) for r in rows]
+            cut[i][col] = cut[i][col][:-1]  # truncated inside its last value
+            with pytest.raises(ValueError):
+                decode_postings_many(cut)
+            short = [dict(r) for r in rows]
+            short[i]["n_postings"] += 1  # one value missing at a boundary
+            with pytest.raises(ValueError):
+                decode_postings_many(short)
+        # the last byte of row 1 moved to the front of row 2: each row's
+        # byte count changes but every value count of the batch still adds up
+        moved = [dict(r) for r in rows]
+        moved[1][col], moved[2][col] = rows[1][col][:-1], rows[1][col][-1:] + rows[2][col]
+        with pytest.raises(ValueError):
+            decode_postings_many(moved)
+
+
+def _dup_rows():
+    """Pages with planted duplicate texts: groups of 1-5 identical pages
+    under different urls score identically on every query, so ties fall
+    across every k-th place."""
+    rng = np.random.default_rng(21)
+    vocab = ["alpha", "beta", "gamma", "delta", "omega"]
+    rows = []
+    for g in range(14):
+        body = " ".join(rng.choice(vocab, size=int(rng.integers(1, 12))))
+        for c in range(int(rng.integers(1, 6))):
+            rows.append((f"http://dup.example/{g}/{c}", 1_600_000_000_000_000 + len(rows),
+                         f"<p>{body}</p>".encode()))
+    return rows
+
+
+QUERIES = ("alpha", "alpha beta", "beta gamma omega", "delta")
+
+
+def test_ties_at_every_kth_place_encoded_rows():
+    """brute_force_topk and candidate_topk match the oracle for every k
+    from 1 to the number of hits, with tied scores across the k-th place
+    (no Ray: rows encoded from the oracle's postings)."""
+    from gxdindexer_ray.oracle import OracleIndex
+    from gxdindexer_ray.query.brute import candidate_topk
+
+    ix = OracleIndex.build_from_rows(_dup_rows())
+    store = {t: _encode_term_rows(ix, t, set()) for t in ix.postings}
+    for q in QUERIES:
+        full = ix.topk(q, 10**6)
+        scores = [s for _, s in full]
+        assert len(set(scores)) < len(scores)  # the planted ties are there
+        tr = _rows_for(store, sorted(set(q.split())))
+        every = np.array([d for d, _ in full], dtype=np.uint64)
+        half = every[::2]
+        for k in range(1, len(full) + 1):
+            kw = dict(N=ix.N, avgdl=ix.avgdl, k1=CFG.k1, b=CFG.b,
+                      block_size=CFG.block_size, k=k)
+            assert brute_force_topk(tr, **kw) == full[:k], (q, k)
+            assert candidate_topk(tr, every, **kw) == full[:k], (q, k)
+            assert candidate_topk(tr, half, **kw) == \
+                [h for h in full if h[0] in set(half.tolist())][:k], (q, k)
+
+
+def test_ties_at_every_kth_place_engine(ray_session, tmp_path):
+    """The same planted ties through a built index: SearchEngine.topk
+    (auto, brute and bmw) and the kernel on the reader's rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from gxdindexer_ray.oracle import OracleIndex
+    from gxdindexer_ray.pipelines import SearchEngine, build_index
+    from gxdindexer_ray.query.brute import candidate_topk
+
+    rows = _dup_rows()
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    pq.write_table(pa.table({
+        "url": pa.array([u for u, _, _ in rows], pa.string()),
+        "warc_ts": pa.array([ts for _, ts, _ in rows], pa.timestamp("us")),
+        "html": pa.array([h for _, _, h in rows], pa.binary()),
+        "text": pa.array([None] * len(rows), pa.string()),
+        "lang": pa.array(["en"] * len(rows), pa.string()),
+    }), pages / "part-0.parquet")
+    build_index(pages, tmp_path / "idx", CFG)
+    ix = OracleIndex.build_from_rows(rows)
+    eng = SearchEngine(tmp_path / "idx", warm_top_terms=0)
+    r = eng.reader
+    for q in QUERIES:
+        full = ix.topk(q, 10**6)
+        tr = r.fetch_terms(sorted(set(q.split())))
+        every = np.array([d for d, _ in full], dtype=np.uint64)
+        for k in range(1, len(full) + 1):
+            for method in ("auto", "brute", "bmw"):
+                assert eng.topk(q, k, method) == full[:k], (q, k, method)
+            kw = dict(N=r.N, avgdl=r.avgdl, k1=r.k1, b=r.b, block_size=r.block_size, k=k)
+            assert brute_force_topk(tr, **kw) == full[:k], (q, k)
+            assert candidate_topk(tr, every, **kw) == full[:k], (q, k)
+
+
+def test_same_rows_under_two_scoring_settings(encoded):
+    """One set of row dicts scored under two (k1, b, avgdl) settings, back
+    and forth: each answer matches its own oracle, so the memoized tf
+    factor is keyed on the settings, not reused across them."""
+    import copy
+
+    from gxdindexer_ray.query.brute import candidate_topk
+
+    ix, store = encoded
+    other = copy.copy(ix)
+    other.k1, other.b, other.total_dl = 1.7, 0.9, ix.total_dl * 1.37  # avgdl = total_dl / N
+    terms = sorted(ix.postings)[:60:12] + [HOT_TERM]
+    q = " ".join(terms)
+    tr = _rows_for(store, sorted(set(terms)))
+    cand = np.array([d for d, _ in ix.topk(q, 10**6)][::3], dtype=np.uint64)
+    assert other.avgdl != ix.avgdl
+    for oracle in (ix, other, ix, other):
+        kw = dict(N=oracle.N, avgdl=oracle.avgdl, k1=oracle.k1, b=oracle.b,
+                  block_size=CFG.block_size, k=20)
+        full = oracle.topk(q, 10**6)
+        assert brute_force_topk(tr, **kw) == full[:20]
+        assert candidate_topk(tr, cand, **kw) == \
+            [h for h in full if h[0] in set(cand.tolist())][:20]
+    assert ix.topk(q, 20) != other.topk(q, 20)  # the settings do differ

@@ -88,7 +88,11 @@ def test_fetch_terms_match_segment_scan(mixed_index):
         for gr, wr in zip(g, w):
             assert set(gr) == set(SCORER_COLUMNS) | {"_dead", "_at"}
             assert {c: gr[c] for c in SCORER_COLUMNS} == {c: wr[c] for c in SCORER_COLUMNS}, t
-            assert gr["_dead"].tolist() == [victim]
+            # the row is built by scalar access: the same python types as
+            # the scan's to_pylist, not just equal values
+            assert [type(gr[c]) for c in SCORER_COLUMNS] == [type(wr[c]) for c in SCORER_COLUMNS]
+            # cast once per generation to the decoded doc ids' dtype
+            assert gr["_dead"].dtype == np.uint64 and gr["_dead"].tolist() == [victim]
     # the hot term: 32 base shards then the delta's one unsharded row
     assert [r["shard"] for r in got[HOT_TERM]] == [0] + list(range(32))
     assert reader.fetch_terms(["no-such-term", HOT_TERM])[HOT_TERM] is got[HOT_TERM]
