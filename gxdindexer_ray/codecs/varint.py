@@ -85,11 +85,15 @@ def varint_encode_segments(values: np.ndarray, seg_starts: np.ndarray) -> tuple[
 def varint_decode(buf: bytes | memoryview | np.ndarray, count: int | None = None) -> np.ndarray:
     """Decode LEB128 bytes back to a uint64 array.
 
-    ``count`` (if given) is validated against the decoded length.
+    ``count`` (if given) is validated against the decoded length. A stream
+    whose last byte has the continuation bit set (cut inside a value)
+    raises ``ValueError``.
     """
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
         return np.empty(0, dtype=np.uint64)
+    if b[-1] & 0x80:
+        raise ValueError("varint stream ends inside a value")
     if b.size > _DECODE_CHUNK_BYTES:
         outs = []
         pos = 0
@@ -99,6 +103,8 @@ def varint_decode(buf: bytes | memoryview | np.ndarray, count: int | None = None
             if end < n:
                 while b[end - 1] & 0x80:  # cut only at value boundaries
                     end -= 1
+                if end == pos:
+                    raise ValueError("varint value spans a whole decode chunk")
             outs.append(_decode_all(b[pos:end]))
             pos = end
         vals = np.concatenate(outs)

@@ -12,9 +12,11 @@ the reference delegated to Solr, reference Indexer.java:55-91):
   lexicon itself shards across query actors by term hash, which is why
   locations are per-bucket-file.
 - **Postings (on disk, row-group granular)**: payload columns are read only
-  for the row groups containing the query terms (segments are written with
-  row_group_size=256 — index/merge.py — keeping the read unit small);
-  decoded rows are LRU-cached. A fetch reads only the columns the scorers
+  for the row groups containing the query terms (segments are written in
+  256-row groups — index/merge.py — keeping the read unit small);
+  decoded rows are LRU-cached. Each file's row group 0 holds its
+  highest-df terms, so the warm-up of the hottest terms on open reads
+  about one row group per file. A fetch reads only the columns the scorers
   decode (``SCORER_COLUMNS``); the skip table and block-max bounds
   (block-max WAND) and the position stream (positional phrase matching)
   are read on demand by ``fill_columns``, once per fetched row.
@@ -37,6 +39,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .layout import IndexState, as_state
+from .merge import hottest
 
 # the segment columns that the consumers of a fetched row (codecs, query,
 # serving paths) read; term, df and cf come from the lexicon instead.
@@ -58,7 +61,8 @@ def build_lexicon(index: str | Path | IndexState) -> dict:
     object array), and ``offsets``, so that term ``i`` owns rows
     ``offsets[i]:offsets[i + 1]`` of the parallel row arrays ``shard``,
     ``file``, ``row_group``, ``row`` (int32) and ``df``, ``cf`` (int64),
-    sorted by (term, file, shard); plus the file list and the index
+    sorted by (term, file, shard); plus the file list, each file's parquet
+    footer (``metadata``, so a reader opens each file once) and the index
     snapshot it was read from (an index dir is opened here). Picklable,
     and mostly flat arrays, so a query actor pool can build it ONCE on the
     driver and broadcast it via ``ray.put`` instead of paying the load per
@@ -87,8 +91,10 @@ def build_lexicon(index: str | Path | IndexState) -> dict:
             bm_scale.append(scale)
             dead_by_file.append(dead)
     parts = [_LEX_SCHEMA.empty_table()]
+    metadata = []
     for fi, f in enumerate(files):
         pf = pq.ParquetFile(f)
+        metadata.append(pf.metadata)
         meta = pf.read(columns=["term", "shard", "df", "cf"])
         sizes = np.array([pf.metadata.row_group(g).num_rows
                           for g in range(pf.metadata.num_row_groups)], dtype=np.int64)
@@ -107,7 +113,7 @@ def build_lexicon(index: str | Path | IndexState) -> dict:
     if len(terms) > 1:
         changed = pc.not_equal(terms[1:], terms[:-1]).to_numpy(zero_copy_only=False)
         starts = np.concatenate([starts, np.flatnonzero(changed) + 1])
-    lex = {"state": state, "files": files, "bm_scale": bm_scale,
+    lex = {"state": state, "files": files, "metadata": metadata, "bm_scale": bm_scale,
            "dead_by_file": dead_by_file,
            "terms": terms.take(starts).to_numpy(zero_copy_only=False),
            "offsets": np.append(starts, len(terms))}
@@ -130,7 +136,8 @@ class IndexReader:
         self.k1 = float(stats["k1"])
         self.b = float(stats["b"])
         self.block_size = int(stats["block_size"])
-        self._pf = [pq.ParquetFile(f) for f in lex["files"]]
+        self._pf = [pq.ParquetFile(f, metadata=md)
+                    for f, md in zip(lex["files"], lex["metadata"])]
         self._bm_scale = lex["bm_scale"]
         self._dead_by_file = lex["dead_by_file"]
         self._lex = lex
@@ -141,14 +148,14 @@ class IndexReader:
         self._io_pool = ThreadPoolExecutor(max_workers=8)
         if warm_top_terms:
             # pre-fetch the highest-df terms once per reader: hot terms are
-            # exactly the ones every query mix hits, and their shard rows
-            # span the most row groups (the cold-tail latency). Ties in df
-            # go to the term seen first in the segment files.
+            # exactly the ones every query mix hits, and the merge writes
+            # each file's hottest terms into its row group 0, so this is
+            # about one read per file. Ties in df go to the term whose
+            # first file comes first, then to the smaller term.
             first = self._offsets[:-1]
             df = np.add.reduceat(lex["df"], first)
-            order = np.lexsort((lex["row"][first], lex["row_group"][first],
-                                lex["file"][first], -df))
-            self.fetch_terms(self._terms[order[:warm_top_terms]].tolist())
+            warm = hottest(df, warm_top_terms, lex["file"][first])
+            self.fetch_terms(self._terms[warm].tolist())
 
     @property
     def n_terms(self) -> int:

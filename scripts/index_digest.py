@@ -1,6 +1,6 @@
 """Print a sha256 digest of an index's derived artifacts.
 
-Usage: python scripts/index_digest.py [--values] INDEX_DIR
+Usage: python scripts/index_digest.py [--values | --rows] INDEX_DIR
 
 One line per file, ``<sha256>  <path relative to INDEX_DIR>``, for the
 segment files, ``stats.json`` and ``hot_terms.json`` of the base index
@@ -14,6 +14,11 @@ mean the same segment values whatever the compression, encodings,
 statistics or row-group sizes, the check for a change that only
 re-encodes segments. ``stats.json`` and ``hot_terms.json`` are still
 hashed as bytes.
+
+``--rows`` hashes each segment file's rows as a sorted multiset (schema,
+then the sorted hashes of the rows' values): the same lines then mean the
+same rows in every file whatever their order and row groups, the check
+for a change that only reorders segment rows.
 """
 
 from __future__ import annotations
@@ -23,24 +28,28 @@ import sys
 from pathlib import Path
 
 
-def _values_hash(f: Path) -> str:
+def _segment_hash(f: Path, rows: bool) -> str:
     import pyarrow.parquet as pq
 
     t = pq.read_table(f)
     h = hashlib.sha256(str(t.schema.remove_metadata()).encode())
-    for c in t.columns:
-        h.update(repr(c.to_pylist()).encode())
+    if rows:
+        for r in sorted(hashlib.sha256(repr(r).encode()).digest() for r in t.to_pylist()):
+            h.update(r)
+    else:
+        for c in t.columns:
+            h.update(repr(c.to_pylist()).encode())
     return h.hexdigest()
 
 
-def digest(index_dir: Path, values: bool = False) -> list[str]:
+def digest(index_dir: Path, mode: str | None = None) -> list[str]:
     lines = []
     for d in [index_dir] + sorted(index_dir.glob("gen-*")):
         files = sorted((d / "segments").glob("*.parquet"))
         files += [f for f in (d / "stats.json", d / "hot_terms.json") if f.exists()]
         for f in files:
-            if values and f.suffix == ".parquet":
-                h = _values_hash(f)
+            if mode and f.suffix == ".parquet":
+                h = _segment_hash(f, rows=mode == "--rows")
             else:
                 h = hashlib.sha256(f.read_bytes()).hexdigest()
             lines.append(f"{h}  {f.relative_to(index_dir)}")
@@ -49,16 +58,16 @@ def digest(index_dir: Path, values: bool = False) -> list[str]:
 
 def main() -> int:
     args = sys.argv[1:]
-    values = "--values" in args
-    args = [a for a in args if a != "--values"]
-    if len(args) != 1:
+    modes = [a for a in args if a in ("--values", "--rows")]
+    args = [a for a in args if a not in modes]
+    if len(args) != 1 or len(modes) > 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     root = Path(args[0])
     if not (root / "stats.json").exists():
         print(f"{root}: no stats.json, not an index", file=sys.stderr)
         return 2
-    print("\n".join(digest(root, values)))
+    print("\n".join(digest(root, modes[0] if modes else None)))
     return 0
 
 

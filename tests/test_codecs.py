@@ -94,3 +94,39 @@ def test_postings_reject_unsorted():
     )
     with pytest.raises(ValueError):
         encode_postings(pl, block_size=128, avgdl=1.0, k1=0.9, b=0.4)
+
+
+def test_truncated_varint_streams_raise_value_error():
+    """A stream cut inside a value (its last byte has the continuation bit
+    set) is corrupt: ValueError from varint_decode and the per-block and
+    position decoders built on it, never IndexError or a silent value."""
+    from gxdindexer_ray.codecs.postings import decode_positions
+
+    for buf in (b"\x80", b"\x80\x80", b"\x05\x80", varint_encode(np.array([5, 300]))[:-1]):
+        with pytest.raises(ValueError):
+            varint_decode(buf)
+    with pytest.raises(ValueError):
+        varint_decode(b"\x05\x80", count=1)
+    big = varint_encode(np.arange(400_000, dtype=np.uint64) << np.uint64(20))
+    with pytest.raises(ValueError):  # the chunked path
+        varint_decode(big[:-1])
+    with pytest.raises(ValueError):  # no value ends in the first chunk
+        varint_decode(b"\x80" * (1 << 20) + b"\x00")
+
+    # WAND's lazy block decode: the last block holds one posting whose
+    # doc gap is several bytes; cut its final byte
+    pl = _random_plist(np.random.default_rng(3), 129)
+    row = encode_postings(pl, block_size=128, avgdl=50.0, k1=0.9, b=0.4)
+    assert len(decode_block(row, 1, block_size=128)) == 1
+    for col in ("docs_payload", "dls_payload"):
+        cut = dict(row, **{col: row[col][:-1]})
+        with pytest.raises(ValueError):
+            decode_block(cut, 1, block_size=128)
+
+    one = PostingList(doc_ids=np.array([5], np.uint64), tfs=np.array([2], np.uint64),
+                      dls=np.array([9], np.uint64))
+    pos = varint_encode(np.array([3, 300]))
+    off, got = decode_positions({"pos_payload": pos}, one)
+    assert off.tolist() == [0, 2] and got.tolist() == [3, 303]
+    with pytest.raises(ValueError):
+        decode_positions({"pos_payload": pos[:-1]}, one)
