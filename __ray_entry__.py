@@ -21,7 +21,8 @@ def entry() -> Any:
     from gxdindexer_ray.pipelines.queries import _index_for
 
     ix = _index_for("/root/testdata/sf0.001")
-    seg = rd.read_parquet(str(ix / "segments"), columns=["term", "df", "cf"])
+    seg = rd.read_parquet(str(ix / "segments"), columns=["term", "df", "cf"],
+                          file_extensions=["parquet"])
     return seg.groupby("term").aggregate(Sum("df", alias_name="df"), Sum("cf", alias_name="cf"))
 
 

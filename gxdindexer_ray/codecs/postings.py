@@ -17,6 +17,11 @@ Layout (per term, or per (term, shard) for hot terms):
   ``tf*(k1+1)/(tf + k1*(1-b+b*dl/avgdl))`` (idf is applied at query time, so
   block-max bounds survive df changes from shard summation).
 
+On disk (index/merge.py) the three streams of every row of a segment file
+go to its postings blob (index/postfile.py), which the reader maps and
+slices; the skip table, ``block_max`` and the optional position stream
+stay Parquet columns of the segment file, read on demand.
+
 The reference's engine delegated all of this to Solr/Lucene
 (reference Indexer.java:236-247 just ships documents); this module is the
 from-scratch replacement required by the north rule.
@@ -150,8 +155,6 @@ def encode_postings_bulk_arrow(
 
     return {
         "n_postings": pa.array(seg_lens, pa.int64()),
-        "min_doc": pa.array(docs[seg_starts].astype(np.int64), pa.int64()),
-        "max_doc": pa.array(docs[seg_ends - 1].astype(np.int64), pa.int64()),
         "df": pa.array(seg_lens, pa.int64()),
         "cf": pa.array(cf, pa.int64()),
         "docs_payload": payload(d_buf, d_boff),

@@ -14,14 +14,13 @@ docs are unique per term after url dedup), re-encode with skip pointers
 This k-way merge into immutable segments *is* the reference's delegated
 Solr merge/optimize step (reference Indexer.java:136-148).
 
-Row order is head-first: row group 0 of a file holds its highest-df
-terms (whole terms, every shard row, taken in (-df, term) order while
-they fit one ``ROW_GROUP_ROWS`` group), and every other row follows in
-(term, shard) order. The reader warms its hottest terms on open
-(index/reader.py), so a reopen reads one row group per file for them
-instead of one per hot row. Inside the head group rows stay in (term,
-shard) order; a file of at most ``ROW_GROUP_ROWS`` rows is plain
-(term, shard) order.
+Each bucket (or slot) writes two files, both tmp+rename, the blob first:
+``bucket-NNNNN[-SS].post``, the rows' docs/tfs/dls payload streams back
+to back (index/postfile.py owns that layout), then
+``bucket-NNNNN[-SS].parquet``, one row per (term, shard) in (term, shard)
+order: the lexicon columns (term, shard, df, cf, n_postings) and the
+columns block-max WAND and phrase matching read on demand (skip table,
+``block_max``, ``pos_payload``).
 
 Returns one manifest row per bucket (lineage + metrics: n_terms,
 n_postings, payload bytes in = bytes shuffled, bytes out).
@@ -38,6 +37,7 @@ import pyarrow.parquet as pq
 from ..codecs.postings import decode_runs, encode_postings_bulk_arrow
 from ..codecs.varint import varint_decode, varint_encode_segments
 from ..config import IndexConfig
+from . import postfile
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -46,11 +46,6 @@ SEGMENT_SCHEMA = pa.schema(
         pa.field("df", pa.int64()),
         pa.field("cf", pa.int64()),
         pa.field("n_postings", pa.int64()),
-        pa.field("min_doc", pa.int64()),
-        pa.field("max_doc", pa.int64()),
-        pa.field("docs_payload", pa.large_binary()),
-        pa.field("tfs_payload", pa.large_binary()),
-        pa.field("dls_payload", pa.large_binary()),
         pa.field("skip_last_doc", pa.list_(pa.int64())),
         pa.field("skip_doc_off", pa.list_(pa.int64())),
         pa.field("skip_tf_off", pa.list_(pa.int64())),
@@ -60,53 +55,8 @@ SEGMENT_SCHEMA = pa.schema(
     ]
 )
 
-# rows per segment row group: the read unit of a query (index/reader.py)
+# rows per segment row group: the read unit of ``IndexReader.fill_columns``
 ROW_GROUP_ROWS = 256
-
-
-def hottest(df: np.ndarray, k: int, tie: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the ``k`` largest ``df`` values, ordered by (-df, tie,
-    index): one ``np.partition`` for the k-th value, then a ``lexsort`` of
-    only the candidates at or above it (ties at the cut included)."""
-    k = min(k, df.size)
-    if k <= 0:
-        return np.empty(0, np.int64)
-    cand = np.flatnonzero(df >= np.partition(df, df.size - k)[df.size - k])
-    keys = (-df[cand],) if tie is None else (tie[cand], -df[cand])
-    # lexsort is stable and cand ascends, so the index breaks the last ties
-    return cand[np.lexsort(keys)][:k]
-
-
-def _head_first(codes_row: np.ndarray, shards: np.ndarray, n_post: np.ndarray,
-                n_terms: int) -> tuple[np.ndarray | None, int]:
-    """(remap, head_rows): a term-code remap that puts the file's head
-    terms first, in term order, and every other term after them, in term
-    order; None when the head is every term (or none). Term codes are
-    ranks in sorted term order, so the remapped codes fed to the posting
-    lexsort give the head-first row order with no reorder of the
-    finished table. The head is the longest prefix of the terms in
-    (-df, term) order whose segment rows (one per distinct shard) fit
-    one row group; a term's df is the sum of its partial rows'
-    ``n_postings`` (docs are unique per term)."""
-    df = np.bincount(codes_row, weights=n_post, minlength=n_terms).astype(np.int64)
-    # every term owns at least one row, so the head is among the top terms
-    top = hottest(df, ROW_GROUP_ROWS)
-    rank = np.full(n_terms, -1, np.int64)
-    rank[top] = np.arange(top.size)
-    sel = rank[codes_row] >= 0
-    span = int(shards.max()) + 1
-    pairs = np.unique(rank[codes_row[sel]] * span + shards[sel])
-    rows = np.cumsum(np.bincount(pairs // span, minlength=top.size))
-    h = int(np.count_nonzero(rows <= ROW_GROUP_ROWS))
-    if h in (0, n_terms):
-        return None, 0
-    head = np.sort(top[:h])
-    remap = np.empty(n_terms, np.int64)
-    tail = np.ones(n_terms, bool)
-    tail[head] = False
-    remap[head] = np.arange(h)
-    remap[tail] = np.arange(h, n_terms)
-    return remap, int(rows[h - 1])
 
 
 def merge_bucket_files(bucket_files: list[str], segments_dir: str, avgdl: float,
@@ -198,16 +148,9 @@ def _merge_rows(group: pa.Table, segments_dir: str, avgdl: float, cfg: IndexConf
     docs_all, tfs_all, dls_all = decode_runs(d_pay, t_pay, l_pay, n_post)
 
     # one global posting-level sort by (term code, shard, doc): term codes
-    # are ranks in the sorted unique-term order, remapped head-first, so
-    # output row order is the deterministic head group, then (term asc,
-    # shard asc), regardless of arrival order
+    # are ranks in the sorted unique-term order, so output row order is
+    # (term asc, shard asc), regardless of arrival order
     uniq_terms, codes_row = np.unique(np.asarray(terms, dtype=object), return_inverse=True)
-    remap, head_rows = _head_first(codes_row, shards, n_post, uniq_terms.size)
-    if remap is not None:
-        codes_row = remap[codes_row]
-        code_terms = np.empty_like(uniq_terms)
-        code_terms[remap] = uniq_terms
-        uniq_terms = code_terms
     codes_post = np.repeat(codes_row, n_post)
     shards_post = np.repeat(shards, n_post)
     order = np.lexsort((docs_all, shards_post, codes_post))
@@ -266,11 +209,6 @@ def _merge_rows(group: pa.Table, segments_dir: str, avgdl: float, cfg: IndexConf
             "df": cols["df"],
             "cf": cols["cf"],
             "n_postings": cols["n_postings"],
-            "min_doc": cols["min_doc"],
-            "max_doc": cols["max_doc"],
-            "docs_payload": cols["docs_payload"],
-            "tfs_payload": cols["tfs_payload"],
-            "dls_payload": cols["dls_payload"],
             "skip_last_doc": cols["skip_last_doc"],
             "skip_doc_off": cols["skip_doc_off"],
             "skip_tf_off": cols["skip_tf_off"],
@@ -284,30 +222,22 @@ def _merge_rows(group: pa.Table, segments_dir: str, avgdl: float, cfg: IndexConf
     )
     out = Path(segments_dir)
     out.mkdir(parents=True, exist_ok=True)
-    final = out / f"bucket-{bucket:05d}{file_suffix}.parquet"
-    tmp = out / f".bucket-{bucket:05d}{file_suffix}.parquet.tmp"
-    # The read unit of a query is one row group's scorer columns, so the
-    # encoding serves that read: lz4, and no dictionary pages or min/max
-    # statistics for the unique payload and skip-list columns (nothing
-    # reads segment statistics; only the SPIMI partials' rslot stats are
-    # read, above). Base segment file of the perfbench seed-7 corpus
-    # (4,000 pages), 1 CPU, medians; zstd + defaults -> these settings:
-    #   file size                              5,998,660 -> 5,795,373 B
-    #   read one row group, 5 scorer columns   0.35 -> 0.16 ms
-    #   read one row group, all 11 columns     0.65 -> 0.30 ms
-    #   write the file                         330-360 -> 177-193 ms
-    # Parquet pages describe their own encoding, so files written with
-    # the old settings read the same.
-    # The head terms are row group 0 on their own, whatever its size.
-    with pq.ParquetWriter(
-            tmp, SEGMENT_SCHEMA, compression="lz4",
-            use_dictionary=["term", "shard", "df", "cf", "n_postings"],
-            write_statistics=["term", "shard", "df", "cf", "min_doc", "max_doc"]) as w:
-        if head_rows:
-            w.write_table(seg.slice(0, head_rows))
-        w.write_table(seg.slice(head_rows), row_group_size=ROW_GROUP_ROWS)
+    name = f"bucket-{bucket:05d}{file_suffix}"
+    # the blob first: a segment file is never sealed without its blob
+    blob_bytes = postfile.write_post(out / f"{name}.post",
+                                     [cols[c] for c in postfile.PAYLOADS])
+    final = out / f"{name}.parquet"
+    tmp = out / f".{name}.parquet.tmp"
+    # lz4, and no dictionary pages or min/max statistics for the unique
+    # skip-list and position columns (nothing reads segment statistics;
+    # only the SPIMI partials' rslot stats are read, above). Parquet pages
+    # describe their own encoding, so files written with other settings
+    # read the same.
+    pq.write_table(seg, tmp, row_group_size=ROW_GROUP_ROWS, compression="lz4",
+                   use_dictionary=["term", "shard", "df", "cf", "n_postings"],
+                   write_statistics=["term", "shard", "df", "cf"])
     tmp.rename(final)
 
     return {"bucket": bucket, "n_terms": len(set(terms)), "n_rows": seg.num_rows,
             "n_postings": total, "bytes_in": bytes_in,
-            "bytes_out": final.stat().st_size, "path": str(final)}
+            "bytes_out": final.stat().st_size + blob_bytes, "path": str(final)}

@@ -11,15 +11,17 @@ the reference delegated to Solr, reference Indexer.java:55-91):
   (``__init__``-loaded state, SURVEY.md §2.4); at true web scale the
   lexicon itself shards across query actors by term hash, which is why
   locations are per-bucket-file.
-- **Postings (on disk, row-group granular)**: payload columns are read only
-  for the row groups containing the query terms (segments are written in
-  256-row groups — index/merge.py — keeping the read unit small);
-  decoded rows are LRU-cached. Each file's row group 0 holds its
-  highest-df terms, so the warm-up of the hottest terms on open reads
-  about one row group per file. A fetch reads only the columns the scorers
-  decode (``SCORER_COLUMNS``); the skip table and block-max bounds
-  (block-max WAND) and the position stream (positional phrase matching)
-  are read on demand by ``fill_columns``, once per fetched row.
+- **Postings (on disk, one blob per segment file)**: the docs, tfs and dls
+  streams the scorers decode live in the segment file's postings blob
+  (index/postfile.py). The lexicon keeps each row's blob start and three
+  stream lengths, and the reader maps each blob once, so a fetch is three
+  slices per row, with no Parquet read; decoded rows are LRU-cached. Only
+  ``fill_columns`` reads segment row groups (256 rows each,
+  index/merge.py): the skip table and block-max bounds (block-max WAND)
+  and the position stream (positional phrase matching), on demand, once
+  per fetched row. An index written before the blob (payload columns, no
+  ``.post`` files) is refused at open; ``compact_index`` rewrites its
+  segments from the docstore, or a rebuild does.
 - **One snapshot per reader**: the lexicon is built from one
   ``index.layout.IndexState``, and its corpus stats, tombstone masks and
   the docstore files the serving paths read all come from that state, so
@@ -30,7 +32,6 @@ the reference delegated to Solr, reference Indexer.java:55-91):
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,32 +39,50 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import postfile
 from .layout import IndexState, as_state
-from .merge import hottest
 
-# the segment columns that the consumers of a fetched row (codecs, query,
-# serving paths) read; term, df and cf come from the lexicon instead.
-# fetch_terms reads what every scorer decodes (codecs.decode_postings);
-# fill_columns adds the rest for block-max WAND and phrase positions.
-SCORER_COLUMNS = ["shard", "n_postings", "docs_payload", "tfs_payload", "dls_payload"]
+# the segment columns ``fill_columns`` adds to fetched rows
 EXTRA_COLUMNS = ["skip_last_doc", "skip_doc_off", "skip_tf_off", "skip_dl_off",
                  "block_max", "pos_payload"]
-FETCH_COLUMNS = SCORER_COLUMNS + EXTRA_COLUMNS
 
 _LEX_SCHEMA = pa.schema([("term", pa.string()), ("shard", pa.int32()),
                          ("df", pa.int64()), ("cf", pa.int64()),
                          ("file", pa.int32()), ("row_group", pa.int32()),
-                         ("row", pa.int32())])
+                         ("row", pa.int32()), ("start", pa.int64()),
+                         ("docs_len", pa.int64()), ("tfs_len", pa.int64()),
+                         ("dls_len", pa.int64())])
+# lexicon row arrays, in the order fetch_terms unpacks them (a row's df
+# is its posting count: the encoder writes df and n_postings from one count)
+_ROW_FIELDS = ("file", "shard", "df", "start", "docs_len", "tfs_len",
+               "dls_len", "row_group", "row")
+
+
+def hottest(df: np.ndarray, k: int, tie: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the ``k`` largest ``df`` values, ordered by (-df, tie,
+    index): one ``np.partition`` for the k-th value, then a ``lexsort`` of
+    only the candidates at or above it (ties at the cut included)."""
+    k = min(k, df.size)
+    if k <= 0:
+        return np.empty(0, np.int64)
+    cand = np.flatnonzero(df >= np.partition(df, df.size - k)[df.size - k])
+    keys = (-df[cand],) if tie is None else (tie[cand], -df[cand])
+    # lexsort is stable and cand ascends, so the index breaks the last ties
+    return cand[np.lexsort(keys)][:k]
 
 
 def build_lexicon(index: str | Path | IndexState) -> dict:
     """Load the lexicon state once: ``terms``, the sorted unique terms (an
     object array), and ``offsets``, so that term ``i`` owns rows
     ``offsets[i]:offsets[i + 1]`` of the parallel row arrays ``shard``,
-    ``file``, ``row_group``, ``row`` (int32) and ``df``, ``cf`` (int64),
-    sorted by (term, file, shard); plus the file list, each file's parquet
-    footer (``metadata``, so a reader opens each file once) and the index
-    snapshot it was read from (an index dir is opened here). Picklable,
+    ``file``, ``row_group``, ``row`` (int32) and ``df``, ``cf``,
+    ``start``, ``docs_len``, ``tfs_len``, ``dls_len`` (int64; the last
+    four place the row in its file's postings blob), sorted by (term,
+    file, shard); plus the file list, each file's parquet footer
+    (``metadata``, so a reader opens each file once) and the index
+    snapshot it was read from (an index dir is opened here). Raises
+    ``ValueError`` for a segment file without its blob (an index written
+    before the blob) or a blob that disagrees with its file. Picklable,
     and mostly flat arrays, so a query actor pool can build it ONCE on the
     driver and broadcast it via ``ray.put`` instead of paying the load per
     actor (the per-actor load was the pool's QPS bound); the actors' stats
@@ -93,9 +112,18 @@ def build_lexicon(index: str | Path | IndexState) -> dict:
     parts = [_LEX_SCHEMA.empty_table()]
     metadata = []
     for fi, f in enumerate(files):
+        blob = postfile.post_path(f)
+        if not blob.exists():
+            raise ValueError(
+                f"{f} has no postings blob {blob.name}: the index was written in "
+                "an older segment layout; run compact_index on it or rebuild it")
         pf = pq.ParquetFile(f)
         metadata.append(pf.metadata)
-        meta = pf.read(columns=["term", "shard", "df", "cf"])
+        # one thread: the four columns are small, and a thread pool per
+        # file costs more than it saves (seed-7 index, 1 CPU: 16.6 -> 11.2 ms
+        # for its 3 files)
+        meta = pf.read(columns=["term", "shard", "df", "cf"], use_threads=False)
+        start, lens = postfile.read_lengths(blob, meta.num_rows)
         sizes = np.array([pf.metadata.row_group(g).num_rows
                           for g in range(pf.metadata.num_row_groups)], dtype=np.int64)
         row = np.arange(meta.num_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -103,7 +131,7 @@ def build_lexicon(index: str | Path | IndexState) -> dict:
             *meta.columns,
             np.full(meta.num_rows, fi, np.int32),
             np.repeat(np.arange(sizes.size, dtype=np.int32), sizes),
-            row.astype(np.int32)], schema=_LEX_SCHEMA))
+            row.astype(np.int32), start, *np.ascontiguousarray(lens.T)], schema=_LEX_SCHEMA))
     t = pa.concat_tables(parts).sort_by(
         [("term", "ascending"), ("file", "ascending"), ("shard", "ascending")])
     # Arrow orders strings by UTF-8 bytes, which is code point order: the
@@ -117,7 +145,7 @@ def build_lexicon(index: str | Path | IndexState) -> dict:
            "dead_by_file": dead_by_file,
            "terms": terms.take(starts).to_numpy(zero_copy_only=False),
            "offsets": np.append(starts, len(terms))}
-    for c in ("shard", "df", "cf", "file", "row_group", "row"):
+    for c in _LEX_SCHEMA.names[1:]:
         lex[c] = t[c].to_numpy()
     return lex
 
@@ -138,6 +166,7 @@ class IndexReader:
         self.block_size = int(stats["block_size"])
         self._pf = [pq.ParquetFile(f, metadata=md)
                     for f, md in zip(lex["files"], lex["metadata"])]
+        self._blobs = [postfile.open_blob(postfile.post_path(f)) for f in lex["files"]]
         self._bm_scale = lex["bm_scale"]
         self._dead_by_file = lex["dead_by_file"]
         self._lex = lex
@@ -145,13 +174,11 @@ class IndexReader:
         self._offsets = lex["offsets"]
         self._cache: OrderedDict[str, list[dict]] = OrderedDict()
         self._cache_terms = cache_terms
-        self._io_pool = ThreadPoolExecutor(max_workers=8)
         if warm_top_terms:
             # pre-fetch the highest-df terms once per reader: hot terms are
-            # exactly the ones every query mix hits, and the merge writes
-            # each file's hottest terms into its row group 0, so this is
-            # about one read per file. Ties in df go to the term whose
-            # first file comes first, then to the smaller term.
+            # exactly the ones every query mix hits, and a fetch reads no
+            # row group. Ties in df go to the term whose first file comes
+            # first, then to the smaller term.
             first = self._offsets[:-1]
             df = np.add.reduceat(lex["df"], first)
             warm = hottest(df, warm_top_terms, lex["file"][first])
@@ -173,25 +200,13 @@ class IndexReader:
         return list(zip([terms[h] for h in hit.tolist()],
                         self._offsets[i].tolist(), self._offsets[i + 1].tolist()))
 
-    def _read_groups(self, keys, columns: list[str]) -> dict:
-        """(file, row_group) -> ``columns`` of that row group, one
-        ``read_row_group`` per key. Parquet row-group reads release the GIL,
-        so a query's groups (it fans out over files and row groups) are
-        read concurrently."""
-        def read_one(key):
-            fi, g = key
-            return key, self._pf[fi].read_row_group(g, columns=columns)
-
-        keys = list(keys)
-        if len(keys) > 1:
-            return dict(self._io_pool.map(read_one, keys))
-        return dict(read_one(k) for k in keys)
-
     def fetch_terms(self, terms: list[str]) -> dict[str, list[dict]]:
-        """term -> its segment rows (all shards, in shard order), decoded to
-        python dicts of ``SCORER_COLUMNS`` (plus ``_at``, the row's file,
-        row group and row, for ``fill_columns``). Row-group granular reads;
-        LRU cache of decoded terms."""
+        """term -> its segment rows (all shards, in shard order), as dicts
+        of ``shard``, ``n_postings`` and the three payloads (``bytes``
+        slices of the mapped blob), plus ``_at``, the row's file, row group
+        and row, for ``fill_columns``, and ``_dead``, the generation's
+        pending tombstones (the codec masks these doc_ids out at decode
+        time, codecs.postings). No Parquet read; LRU cache of terms."""
         out: dict[str, list[dict]] = {}
         misses = []
         for t in terms:
@@ -200,32 +215,19 @@ class IndexReader:
                 out[t] = self._cache[t]
             else:
                 misses.append(t)
-        # group the misses' rows by (file, row_group) so each group is read once
-        wanted: dict[tuple[int, int], list[tuple[str, int]]] = {}
-        fetched: dict[str, list[dict]] = {}
         lex = self._lex
         for t, s, e in self._ranges(misses):
-            fetched[t] = []
-            for fi, g, row in zip(lex["file"][s:e].tolist(), lex["row_group"][s:e].tolist(),
-                                  lex["row"][s:e].tolist()):
-                wanted.setdefault((fi, g), []).append((t, row))
-        results = self._read_groups(wanted, SCORER_COLUMNS)
-        # in (file, row_group) order, so each term's rows arrive in file
-        # order and the shard sort below leaves them in (shard, file) order
-        for key, items in sorted(wanted.items()):
-            dead = self._dead_by_file[key[0]]
-            # scalar access per wanted row: a query wants one or two rows
-            # of a group, where Table.take + to_pylist costs ~4x as much
-            cols = [(c, results[key].column(c)) for c in SCORER_COLUMNS]
-            for t, row in items:
-                r = {c: col[row].as_py() for c, col in cols}
-                r["_at"] = (*key, row)
+            rows = []
+            for fi, shard, n, start, dn, tn, ln, g, row in zip(
+                    *(lex[c][s:e].tolist() for c in _ROW_FIELDS)):
+                docs, tfs, dls = postfile.payloads(self._blobs[fi], start, dn, tn, ln)
+                r = {"shard": shard, "n_postings": n, "docs_payload": docs,
+                     "tfs_payload": tfs, "dls_payload": dls, "_at": (fi, g, row)}
+                dead = self._dead_by_file[fi]
                 if dead is not None:
-                    # pending tombstones: the codec masks these doc_ids
-                    # out at decode time (codecs.postings)
                     r["_dead"] = dead
-                fetched[t].append(r)
-        for t, rows in fetched.items():
+                rows.append(r)
+            # lexicon rows are in (file, shard) order: now (shard, file)
             rows.sort(key=lambda r: r["shard"])
             self._cache[t] = rows
             if len(self._cache) > self._cache_terms:
@@ -245,11 +247,10 @@ class IndexReader:
                 if "block_max" not in r:
                     fi, g, row = r["_at"]
                     wanted.setdefault((fi, g), []).append((r, row))
-        results = self._read_groups(wanted, EXTRA_COLUMNS)
-        for key, items in wanted.items():
-            scale = self._bm_scale[key[0]]
-            cols = results[key].take([row for _, row in items]).to_pylist()
-            for (r, _), c in zip(items, cols):
+        for (fi, g), items in wanted.items():
+            scale = self._bm_scale[fi]
+            group = self._pf[fi].read_row_group(g, columns=EXTRA_COLUMNS)
+            for (r, _), c in zip(items, group.take([row for _, row in items]).to_pylist()):
                 if scale != 1.0 and c["block_max"] is not None:
                     # safe-bound rescale for appended generations (see
                     # build_lexicon) — exact scoring is untouched, only

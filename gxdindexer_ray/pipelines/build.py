@@ -52,6 +52,7 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, IndexConfig, segment_layout
 from ..index.docid import doc_id_column, sorted_member
+from ..index import postfile
 from ..index.layout import open_index
 from ..index.merge import merge_bucket_files
 from ..index.spimi import make_spimi_writer_fn
@@ -473,6 +474,10 @@ def _derive_index(out: Path, doc_files: list[str], cfg: IndexConfig, key: str,
     phases["hotterms"] = round(time.perf_counter() - t0, 3) if sample else 0.0
 
     # ---------------- P3: SPIMI partials -> stats -> exchange -> segments
+    # (its checkpoint also names the postings blob's format, so a resume
+    # never keeps segments sealed in an older layout: compact_index or a
+    # rebuild is how such an index is upgraded)
+    key = f"{key}-{postfile.MAGIC.decode()}"
     t0 = time.perf_counter()
     if n_docs:
         _segments_phase(out, doc_files, n_docs, hot_terms, cfg, key, resume)

@@ -682,7 +682,7 @@ FROM scores ORDER BY score_r DESC, doc_id LIMIT 10
 """
 
 
-_INCR_LIFECYCLE_V = 1  # bump to invalidate the cached lifecycle artifact
+_INCR_LIFECYCLE_V = 2  # bump to invalidate the cached lifecycle artifact
 
 
 def q46_incremental_topk(sf: str):

@@ -5,6 +5,7 @@ per term, (c) rank-identical top-k docIDs and scores."""
 from dataclasses import replace
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
@@ -13,6 +14,7 @@ from gxdindexer_ray.codecs.postings import decode_postings
 from gxdindexer_ray.config import IndexConfig
 from gxdindexer_ray.fixtures import generate_queries
 from gxdindexer_ray.fixtures.pages import HOT_TERM
+from gxdindexer_ray.index import postfile
 
 CFG = IndexConfig()
 
@@ -48,7 +50,7 @@ def test_text_byte_identical(built, oracle_1k):
 
 def test_postings_identical(built, oracle_1k):
     out, _ = built
-    seg = pads.dataset(str(out / "segments"), format="parquet").to_table()
+    seg = pa.concat_tables(postfile.segment_table(f) for f in sorted((out / "segments").glob("*.parquet")))
     rows_by_term: dict[str, list[dict]] = {}
     for r in seg.to_pylist():
         rows_by_term.setdefault(r["term"], []).append(r)
@@ -257,8 +259,8 @@ def test_positional_index(ray_session, pages_1k, tmp_path_factory, oracle_1k):
     # positions present on every segment row
     import pyarrow.dataset as pads
 
-    seg = pads.dataset(str(out / "segments"), format="parquet").to_table(
-        columns=["pos_payload"])
+    seg = pads.dataset([str(f) for f in (out / "segments").glob("*.parquet")],
+                       format="parquet").to_table(columns=["pos_payload"])
     assert seg["pos_payload"].null_count == 0
 
     # ranked scoring identical to oracle (positions are additive)

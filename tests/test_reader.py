@@ -1,16 +1,17 @@
 """The reader's columnar lexicon against a direct scan of the segment files.
 
-Every check reads the segment files with ``pq.read_table`` and rebuilds
+Every check reads the segment files with ``pq.read_table``, joins each
+row with its payloads parsed from the postings blob by hand, and rebuilds
 what the reader must answer in plain Python: the rows ``fetch_terms``
-returns per term (shard order, scorer columns, tombstone masks), the
+returns per term (shard order, scorer payloads, tombstone masks), the
 columns ``fill_columns`` adds (block-max bounds rescaled per generation),
-``term_stats``, ``terms_with_prefix`` and ``n_terms``. The head-first
-segment layout (index/merge.py) is checked file by file against a
-term-ordered merge of the same postings, and the warm-up set against a
-full sort and against the earlier row-position rule. Only building the
-multi-generation fixture needs Ray."""
+``term_stats``, ``terms_with_prefix`` and ``n_terms``. A fetch reads no
+row group; corrupt blobs and indexes written before the blob are refused
+with ``ValueError``. The warm-up set is checked against a full sort and
+against the earlier row-position rule. Only the built fixtures need Ray."""
 
 import shutil
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,14 +25,18 @@ import pytest
 from gxdindexer_ray.config import IndexConfig
 from gxdindexer_ray.fixtures import generate_pages
 from gxdindexer_ray.fixtures.pages import HOT_TERM
-from gxdindexer_ray.index import merge
+from gxdindexer_ray.codecs.varint import varint_decode
+from gxdindexer_ray.index import merge, postfile
 from gxdindexer_ray.index.layout import open_index
 from gxdindexer_ray.index.merge import ROW_GROUP_ROWS, SEGMENT_SCHEMA
-from gxdindexer_ray.index.reader import (EXTRA_COLUMNS, FETCH_COLUMNS, SCORER_COLUMNS,
-                                         IndexReader, build_lexicon)
+from gxdindexer_ray.index.reader import EXTRA_COLUMNS, IndexReader, build_lexicon
 from gxdindexer_ray.state.manifest import atomic_write_json, read_json
 
 CFG = IndexConfig()
+PAYLOADS = ("docs_payload", "tfs_payload", "dls_payload")
+# the fields of a fetched row (besides _at and _dead), then fill_columns'
+SCORER = ("shard", "n_postings") + PAYLOADS
+FETCH = SCORER + tuple(EXTRA_COLUMNS)
 _STATS = {"N": 0, "total_dl": 0, "avgdl": 0.0, "k1": CFG.k1, "b": CFG.b,
           "block_size": CFG.block_size, "store_positions": CFG.store_positions}
 
@@ -52,6 +57,31 @@ def mixed_index(ray_session, pages_1k, tmp_path_factory):
     return idx, victim
 
 
+def _parse_blob(path: Path) -> list[tuple[bytes, bytes, bytes]]:
+    """Each row's (docs, tfs, dls) payloads of a postings blob, parsed by
+    hand: payloads back to back, a LEB128 trailer of three lengths per row,
+    then a 24-byte footer (row count, trailer offset, magic)."""
+    raw = path.read_bytes()
+    rows, at, magic = struct.unpack("<QQ8s", raw[-24:])
+    assert magic == b"GXDPOST1"
+    out, pos = [], 0
+    for d, t, l in varint_decode(raw[at:-24], count=3 * rows).reshape(rows, 3).tolist():
+        out.append((raw[pos:pos + d], raw[pos + d:pos + d + t], raw[pos + d + t:pos + d + t + l]))
+        pos += d + t + l
+    assert pos == at
+    return out
+
+
+def _rows(path: Path) -> list[dict]:
+    """A segment file's rows, each joined with its payloads from the blob."""
+    rows = pq.read_table(path).to_pylist()
+    blob = _parse_blob(path.with_suffix(".post"))
+    assert len(rows) == len(blob)
+    for r, p in zip(rows, blob):
+        r.update(zip(PAYLOADS, p))
+    return rows
+
+
 def _scan(idx: Path):
     """term -> rows of every segment file as the reader must return them,
     plus the files' generation avgdl rescale factors."""
@@ -66,7 +96,9 @@ def _scan(idx: Path):
     for fi, (gstats, path) in enumerate(files):
         scale = max(1.0, gavg / gstats["avgdl"])
         scales.append(scale)
-        for r in pq.read_table(path).to_pylist():
+        rows_ = _rows(Path(path))
+        assert postfile.segment_table(path).to_pylist() == rows_
+        for r in rows_:
             if scale != 1.0:
                 r["block_max"] = [v * scale for v in r["block_max"]]
             rows.setdefault(r["term"], []).append((r["shard"], fi, r))
@@ -90,11 +122,11 @@ def test_fetch_terms_match_segment_scan(mixed_index):
         g, w = got[t], want[t]
         assert [r["shard"] for r in g] == [r["shard"] for r in w], t
         for gr, wr in zip(g, w):
-            assert set(gr) == set(SCORER_COLUMNS) | {"_dead", "_at"}
-            assert {c: gr[c] for c in SCORER_COLUMNS} == {c: wr[c] for c in SCORER_COLUMNS}, t
-            # the row is built by scalar access: the same python types as
-            # the scan's to_pylist, not just equal values
-            assert [type(gr[c]) for c in SCORER_COLUMNS] == [type(wr[c]) for c in SCORER_COLUMNS]
+            assert set(gr) == set(SCORER) | {"_dead", "_at"}
+            assert {c: gr[c] for c in SCORER} == {c: wr[c] for c in SCORER}, t
+            # the same python types as the scan's, not just equal values:
+            # payloads are bytes slices of the mapped blob
+            assert [type(gr[c]) for c in SCORER] == [type(wr[c]) for c in SCORER]
             # cast once per generation to the decoded doc ids' dtype
             assert gr["_dead"].dtype == np.uint64 and gr["_dead"].tolist() == [victim]
     # the hot term: 32 base shards then the delta's one unsharded row
@@ -112,13 +144,13 @@ def test_fetch_terms_match_segment_scan(mixed_index):
     reader.fill_columns(got)
     for t in terms:
         for gr, wr in zip(got[t], want[t]):
-            assert set(gr) == set(FETCH_COLUMNS) | {"_dead", "_at"}
-            assert {c: gr[c] for c in FETCH_COLUMNS} == {c: wr[c] for c in FETCH_COLUMNS}, t
+            assert set(gr) == set(FETCH) | {"_dead", "_at"}
+            assert {c: gr[c] for c in FETCH} == {c: wr[c] for c in FETCH}, t
 
 
 def test_fill_reads_only_missing_groups_and_columns(mixed_index, monkeypatch):
-    """fetch_terms reads the scorer columns; fill_columns reads the other
-    columns once per (file, row group), and nothing for filled rows."""
+    """fetch_terms reads no row group; fill_columns reads its columns once
+    per (file, row group) of the fetched rows, and nothing for filled rows."""
     idx, _ = mixed_index
     reads: list[tuple] = []
     orig = pq.ParquetFile.read_row_group
@@ -130,9 +162,9 @@ def test_fill_reads_only_missing_groups_and_columns(mixed_index, monkeypatch):
     monkeypatch.setattr(pq.ParquetFile, "read_row_group", counting)
     reader = IndexReader(idx, warm_top_terms=0)
     rows = reader.fetch_terms([HOT_TERM, "no-such-term"])
-    assert reads and {r[2] for r in reads} == {tuple(SCORER_COLUMNS)}
-    groups = {r[:2] for r in reads}
-    del reads[:]
+    assert reads == []
+    groups = {(id(reader._pf[r["_at"][0]]), r["_at"][1]) for r in rows[HOT_TERM]}
+    assert len(groups) > 1
     reader.fill_columns(rows)
     assert {r[2] for r in reads} == {tuple(EXTRA_COLUMNS)}
     assert sorted(r[:2] for r in reads) == sorted(groups)
@@ -157,7 +189,7 @@ def test_old_segment_encoding_reads_the_same(mixed_index, tmp_path):
     for f in base:
         pq.write_table(pq.read_table(f), f, compression="zstd", row_group_size=256)
     md = pq.ParquetFile(base[0]).metadata.row_group(0)
-    ci = SEGMENT_SCHEMA.names.index("docs_payload")
+    ci = SEGMENT_SCHEMA.names.index("skip_doc_off")
     assert md.column(ci).compression == "ZSTD" and md.column(ci).statistics is not None
     new_md = pq.ParquetFile(sorted((idx / "segments").glob("*.parquet"))[0]).metadata
     assert new_md.row_group(0).column(ci).compression == "LZ4"
@@ -169,8 +201,8 @@ def test_old_segment_encoding_reads_the_same(mixed_index, tmp_path):
     ra = a.reader.fill_columns(a.reader.fetch_terms(terms))
     rb = b.reader.fill_columns(b.reader.fetch_terms(terms))
     for t in terms:
-        assert [{c: r[c] for c in FETCH_COLUMNS} for r in ra[t]] == \
-            [{c: r[c] for c in FETCH_COLUMNS} for r in rb[t]], t
+        assert [{c: r[c] for c in FETCH} for r in ra[t]] == \
+            [{c: r[c] for c in FETCH} for r in rb[t]], t
     # row 0 of the first docstore file is the tombstoned doc
     docs = pq.read_table(sorted((idx / "docs").glob("*.parquet"))[0], columns=["text"])
     texts = [x for x in docs["text"].to_pylist()[1:] if x and len(tokenize(x)) >= 6][:5]
@@ -208,23 +240,23 @@ def test_term_stats_and_prefixes_match_segment_scan(mixed_index):
 
 def _segment_file(path: Path, terms: list[str], first_id: int, df=None,
                   row_group_size: int = 3) -> None:
-    """A segment file with dummy payloads; ``n_postings`` numbers the rows
-    and ``df`` defaults to 1, 2, ..."""
+    """A segment file and its blob with dummy payloads: a row's docs
+    payload is its term, and ``df`` (= ``n_postings``, a row's posting
+    count) numbers the rows from ``first_id`` unless given."""
     n = len(terms)
     empty = pa.array([[]] * n, pa.list_(pa.int64()))
     pq.write_table(pa.table({
         "term": terms, "shard": pa.array([0] * n, pa.int32()),
-        "df": pa.array(range(1, n + 1) if df is None else df, pa.int64()),
+        "df": pa.array(range(first_id, first_id + n) if df is None else df, pa.int64()),
         "cf": pa.array([2] * n, pa.int64()),
-        "n_postings": pa.array(range(first_id, first_id + n), pa.int64()),
-        "min_doc": pa.array([0] * n, pa.int64()), "max_doc": pa.array([0] * n, pa.int64()),
-        "docs_payload": pa.array([b""] * n, pa.large_binary()),
-        "tfs_payload": pa.array([b""] * n, pa.large_binary()),
-        "dls_payload": pa.array([b""] * n, pa.large_binary()),
+        "n_postings": pa.array(range(first_id, first_id + n) if df is None else df, pa.int64()),
         "skip_last_doc": empty, "skip_doc_off": empty, "skip_tf_off": empty,
         "skip_dl_off": empty, "block_max": pa.array([[]] * n, pa.list_(pa.float32())),
         "pos_payload": pa.array([None] * n, pa.large_binary()),
     }, schema=SEGMENT_SCHEMA), path, row_group_size=row_group_size)
+    postfile.write_post(path.with_suffix(".post"), [
+        pa.array([t.encode() for t in terms], pa.large_binary()),
+        pa.array([b"\x01"] * n, pa.large_binary()), pa.array([b""] * n, pa.large_binary())])
 
 
 def test_lexicon_orders_non_ascii_terms_like_python(tmp_path):
@@ -249,8 +281,10 @@ def test_lexicon_orders_non_ascii_terms_like_python(tmp_path):
         ids[t].append(100 + sorted(b).index(t))
     got = reader.fetch_terms(terms)
     assert {t: [r["n_postings"] for r in rs] for t, rs in got.items()} == ids
+    assert all(r["docs_payload"] == t.encode() and r["tfs_payload"] == b"\x01"
+               and r["dls_payload"] == b"" for t, rs in got.items() for r in rs)
     assert reader.term_stats(["é", "日"]) == {
-        "é": (sorted(a).index("é") + 1 + sorted(b).index("é") + 1, 4), "日": (sorted(b).index("日") + 1, 2)}
+        "é": (sorted(a).index("é") + 100 + sorted(b).index("é"), 4), "日": (100 + sorted(b).index("日"), 2)}
 
 
 def test_lexicon_of_index_without_segments(tmp_path):
@@ -291,12 +325,13 @@ def _row_position_rule(lex: dict, k: int = 64) -> list[str]:
 
 
 def _term_ordered_copy(src: Path, dst: Path) -> None:
-    """``src`` with every segment file rewritten in (term, shard) order."""
+    """``src`` with every segment file (and its blob) rewritten in (term,
+    shard) order."""
     shutil.copytree(src, dst)
     for f in dst.rglob("segments/*.parquet"):
-        t = pq.read_table(f)
-        pq.write_table(t.sort_by([("term", "ascending"), ("shard", "ascending")]), f,
-                       row_group_size=ROW_GROUP_ROWS)
+        t = postfile.segment_table(f).sort_by([("term", "ascending"), ("shard", "ascending")])
+        pq.write_table(t.drop_columns(list(PAYLOADS)), f, row_group_size=ROW_GROUP_ROWS)
+        postfile.write_post(f.with_suffix(".post"), [t[c].combine_chunks() for c in PAYLOADS])
 
 
 def test_warm_set_ties_across_files_and_generations(tmp_path, monkeypatch):
@@ -339,27 +374,37 @@ def test_warm_set_ties_across_files_and_generations(tmp_path, monkeypatch):
     assert _warm_pick(tmp_path / "sorted", monkeypatch) == got
 
 
-def _partials(rng, n_terms: int, hot_shards: int = 4) -> pa.Table:
-    """One bucket's SPIMI partial rows for ``n_terms`` terms: every 9th
-    term has ``hot_shards`` doc-range shards with many postings, and
-    every (term, shard) is split over two partial rows."""
+def test_warm_up_reads_no_row_group(mixed_index, monkeypatch):
+    """The default warm-up fetches its 64 terms from the blobs alone: no
+    Parquet row group is read, whatever the files' row order."""
+    reads: list[int] = []
+    orig = pq.ParquetFile.read_row_group
+
+    def counting(self, i, *a, **kw):
+        reads.append(i)
+        return orig(self, i, *a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(pq.ParquetFile, "read_row_group", counting)
+        reader = IndexReader(mixed_index[0])
+    assert reads == [] and len(reader._cache) == 64
+
+
+def _partials(rng, n_terms: int) -> pa.Table:
+    """One bucket's SPIMI partial rows for ``n_terms`` terms, each split
+    over two partial rows."""
     from gxdindexer_ray.codecs.varint import varint_encode
 
     rows = []
     for i in range(n_terms):
-        hot = i % 9 == 0
-        for shard in range(hot_shards if hot else 1):
-            n = int(rng.integers(20, 60) if hot else rng.integers(1, 12))
-            docs = np.sort(rng.choice(1 << 40, n, replace=False)).astype(np.uint64)
-            for part in np.array_split(docs, 2):
-                if part.size:
-                    gaps = np.diff(part, prepend=np.uint64(0))
-                    rows.append({"bucket": 0, "term": f"t{i:04d}", "shard": shard,
-                                 "n_postings": int(part.size),
-                                 "docs_payload": varint_encode(gaps),
-                                 "tfs_payload": varint_encode(rng.integers(1, 5, part.size)),
-                                 "dls_payload": varint_encode(rng.integers(5, 90, part.size)),
-                                 "pos_payload": None})
+        docs = np.sort(rng.choice(1 << 40, int(rng.integers(2, 60)), replace=False)).astype(np.uint64)
+        for part in np.array_split(docs, 2):
+            rows.append({"bucket": 0, "term": f"t{i:04d}", "shard": 0,
+                         "n_postings": int(part.size),
+                         "docs_payload": varint_encode(np.diff(part, prepend=np.uint64(0))),
+                         "tfs_payload": varint_encode(rng.integers(1, 5, part.size)),
+                         "dls_payload": varint_encode(rng.integers(5, 90, part.size)),
+                         "pos_payload": None})
     return pa.Table.from_pylist(rows, schema=pa.schema([
         ("bucket", pa.int32()), ("term", pa.string()), ("shard", pa.int32()),
         ("n_postings", pa.int64()), ("docs_payload", pa.large_binary()),
@@ -367,144 +412,79 @@ def _partials(rng, n_terms: int, hot_shards: int = 4) -> pa.Table:
         ("pos_payload", pa.large_binary())]))
 
 
-def _check_head_first(path: Path, reference: Path) -> int:
-    """Check one segment file's head-first layout against ``reference``,
-    a term-ordered merge of the same postings; return the head's rows.
+def _decode_index(ix: Path) -> list:
+    """Every posting list of ``ix``, fetched and decoded."""
+    from gxdindexer_ray.codecs.postings import decode_postings_many
 
-    Row group 0 holds whole terms: the longest prefix of the file's terms
-    in (-Σdf, term) order whose rows fit one row group, in (term, shard)
-    order; every other row follows in (term, shard) order, in full row
-    groups but the last; and the rows are the reference's rows."""
-    pf = pq.ParquetFile(path)
-    t = pf.read()
-    terms, shards = t["term"].to_pylist(), t["shard"].to_pylist()
-    ref = pq.read_table(reference)
-    key = list(zip(ref["term"].to_pylist(), ref["shard"].to_pylist()))
-    assert key == sorted(key)
-    assert sorted(map(repr, t.to_pylist())) == sorted(map(repr, ref.to_pylist()))
-    sizes = [pf.metadata.row_group(g).num_rows for g in range(pf.metadata.num_row_groups)]
-    if t.num_rows <= ROW_GROUP_ROWS:
-        assert path.read_bytes() == reference.read_bytes()
-        return t.num_rows
-    h = sizes[0]
-    assert set(sizes[1:-1]) <= {ROW_GROUP_ROWS} and sizes[-1] <= ROW_GROUP_ROWS
-    head, rest = list(zip(terms, shards))[:h], list(zip(terms, shards))[h:]
-    assert head == sorted(head) and rest == sorted(rest)
-    assert not {x for x, _ in head} & {x for x, _ in rest}
-    df, n_rows = {}, {}
-    for x, d in zip(terms, t["df"].to_pylist()):
-        df[x] = df.get(x, 0) + d
-        n_rows[x] = n_rows.get(x, 0) + 1
-    top = sorted(df, key=lambda x: (-df[x], x))
-    n_head = len({x for x, _ in head})
-    assert {x for x, _ in head} == set(top[:n_head])
-    assert h + n_rows[top[n_head]] > ROW_GROUP_ROWS
-    return h
+    reader = IndexReader(ix, warm_top_terms=0)
+    rows = reader.fetch_terms(reader.terms_with_prefix(""))
+    return decode_postings_many([r for rs in rows.values() for r in rs])
 
 
-def test_head_first_merge_layout(tmp_path, monkeypatch):
-    """The merge's head-first layout, without Ray: multi-shard hot terms,
-    df ties at the head's cut, a deterministic file whatever the partial
-    rows' order, and a file of at most one row group unchanged."""
-    cfg = replace(CFG, store_positions=False)
-    rng = np.random.default_rng(5)
-    big, small = _partials(rng, 700), _partials(rng, 120, hot_shards=2)
-    for name, tbl in (("big", big), ("small", small)):
-        merge._merge_rows(tbl, str(tmp_path / name), 40.0, cfg)
-        merge._merge_rows(tbl.take(rng.permutation(tbl.num_rows)),
-                          str(tmp_path / f"{name}-shuffled"), 40.0, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(merge, "_head_first", lambda *a: (None, 0))
-            merge._merge_rows(tbl, str(tmp_path / f"{name}-ref"), 40.0, cfg)
-    f = "bucket-00000.parquet"
-    for name in ("big", "small"):
-        assert (tmp_path / name / f).read_bytes() == (tmp_path / f"{name}-shuffled" / f).read_bytes()
-    h = _check_head_first(tmp_path / "big" / f, tmp_path / "big-ref" / f)
-    assert 0 < h <= ROW_GROUP_ROWS and pq.ParquetFile(tmp_path / "big" / f).metadata.num_rows > 600
-    head = pq.ParquetFile(tmp_path / "big" / f).read_row_group(0, columns=["term"])["term"]
-    assert len(pc.unique(head)) < h  # the hot terms' shard rows are in the head
-    assert _check_head_first(tmp_path / "small" / f, tmp_path / "small-ref" / f) <= ROW_GROUP_ROWS
+def test_corrupt_blobs_raise_value_error(tmp_path):
+    """A blob that is cut short, disagrees with its segment file, or holds
+    a stream of the wrong number of values raises ValueError at open or
+    at decode, never a silently wrong posting list (no Ray)."""
+    ix = tmp_path / "ix"
+    merge._merge_rows(_partials(np.random.default_rng(5), 40), str(ix / "segments"), 40.0, CFG)
+    atomic_write_json(ix / "stats.json", dict(_STATS, N=1, total_dl=1, avgdl=40.0))
+    seg = ix / "segments" / "bucket-00000.parquet"
+    blob = seg.with_suffix(".post")
+    good = blob.read_bytes()
+    rows = _rows(seg)
+    assert len(rows) == 40 and len(_decode_index(ix)) == 40
+
+    def payloads(j=None, i=None, fn=None) -> list[pa.Array]:
+        cols = [[r[c] for r in rows] for c in PAYLOADS]
+        if fn is not None:
+            cols[j][i] = fn(cols[j][i])
+        return [pa.array(c, pa.large_binary()) for c in cols]
+
+    corrupt = [good[:-cut] for cut in (1, 8, 24, 25, len(good) // 2)]
+    # the footer says the trailer starts past the file's end
+    corrupt.append(good[:-24] + struct.pack("<QQ8s", 40, len(good), b"GXDPOST1"))
+    # lengths that do not add up to the payload bytes
+    corrupt.append(good[:-24] + struct.pack("<QQ8s", 40, 7, b"GXDPOST1"))
+    for raw in corrupt:
+        blob.write_bytes(raw)
+        with pytest.raises(ValueError):
+            _decode_index(ix)
+    bad = [[pa.concat_arrays([p, p.slice(0, 1)]) for p in payloads()]]  # one row too many
+    for j in range(3):
+        for i in (0, 17, 39):
+            bad.append(payloads(j, i, lambda b: b + b"\x05"))  # one whole value too many
+            bad.append(payloads(j, i, lambda b: b[:-1]))  # cut inside its last value
+    for cols in bad:
+        postfile.write_post(blob, cols)
+        with pytest.raises(ValueError):
+            _decode_index(ix)
+    postfile.write_post(blob, payloads())
+    assert blob.read_bytes() == good
 
 
-@pytest.fixture(scope="module")
-def auto_generations(ray_session, tmp_path_factory):
-    """An auto-layout base (1,000 docs) and two appended generations of
-    300 docs each, all cut from one corpus, so they share its vocabulary."""
-    from gxdindexer_ray.pipelines import append_index, build_index
+def test_old_layout_refused_then_compacted(ray_session, pages_1k, oracle_1k, tmp_path):
+    """An index whose segment files carry the payload columns and no blob
+    (the layout before the blob) is refused at open with the upgrade
+    message; compact_index on it writes blobs and answers like the
+    oracle, even when the index's last compaction sealed the same
+    docstore (the segments checkpoint names the blob format)."""
+    from gxdindexer_ray.fixtures import generate_queries
+    from gxdindexer_ray.pipelines import SearchEngine, build_index, compact_index
 
-    root = tmp_path_factory.mktemp("generations")
-    full = pads.dataset(generate_pages(root / "full", 1600, seed=42), format="parquet").to_table()
-    parts = []
-    for name, lo, n in (("base", 0, 1000), ("d0", 1000, 300), ("d1", 1300, 300)):
-        (root / name).mkdir()
-        pq.write_table(full.slice(lo, n), root / name / "part-0.parquet")
-        parts.append(root / name)
-    idx = root / "idx"
-    build_index(parts[0], idx, CFG)
-    for d in parts[1:]:
-        append_index(d, idx, CFG)
-    return idx
-
-
-def _check_built_head_first(idx: Path, out: Path, monkeypatch) -> list[tuple[int, int, int]]:
-    """Check every segment file of ``idx`` with ``_check_head_first``
-    against a term-ordered merge of its generation's docstore (one SPIMI
-    batch, merged in process), and that it is byte-identical to the
-    head-first merge of the same batch; return (n_buckets, head rows,
-    rows) per file."""
-    from gxdindexer_ray.index.spimi import SpimiPartialBuilder
-
-    heads = []
-    for gen in open_index(idx).generations:
-        nb = read_json(gen.dir / "_manifests" / "phase-segments.json")["n_buckets"]
-        cfg = replace(CFG, n_buckets=nb)
-        hot = (read_json(gen.dir / "hot_terms.json") or {}).get("hot_terms", [])
-        docs = pa.concat_tables(pq.read_table(f, columns=["doc_id", "text"]) for f in gen.docs)
-        part = SpimiPartialBuilder(hot_terms_ref=hot, cfg=cfg)(docs)
-        d = out / gen.dir.name
-        for f in map(Path, gen.segments):
-            sub = part.filter(pc.equal(part["bucket"], int(f.stem.split("-")[1])))
-            merge._merge_rows(sub, str(d / "head"), gen.stats["avgdl"], cfg)
-            with monkeypatch.context() as m:
-                m.setattr(merge, "_head_first", lambda *a: (None, 0))
-                merge._merge_rows(sub, str(d / "ref"), gen.stats["avgdl"], cfg)
-            assert f.read_bytes() == (d / "head" / f.name).read_bytes(), f
-            heads.append((nb, _check_head_first(f, d / "ref" / f.name),
-                          pq.ParquetFile(f).metadata.num_rows))
-    return heads
-
-
-def test_built_segments_are_head_first(mixed_index, auto_generations, monkeypatch, tmp_path):
-    """Every segment file of a 32-bucket base with sharded hot terms, of
-    auto-layout deltas and of an auto-layout base is head-first, is
-    byte-identical to an in-process merge of its generation's docstore,
-    and holds the rows of a term-ordered merge. On both indexes the
-    warm-up picks the row-position rule's terms of a term-ordered copy."""
-    mixed = _check_built_head_first(mixed_index[0], tmp_path / "mixed", monkeypatch)
-    assert {nb for nb, _, _ in mixed} == {32, 1}
-    auto = _check_built_head_first(auto_generations, tmp_path / "auto", monkeypatch)
-    assert len(auto) == 3 and {nb for nb, _, _ in auto} == {1}
-    assert all(0 < h < n for _, h, n in auto)
-    for name, idx in (("mixed", mixed_index[0]), ("auto", auto_generations)):
-        got = _warm_pick(idx, monkeypatch)
-        assert len(got) == 64
-        _term_ordered_copy(idx, tmp_path / f"{name}-sorted")
-        assert _row_position_rule(build_lexicon(tmp_path / f"{name}-sorted")) == got, name
-
-
-def test_warm_up_reads_one_row_group_per_file(auto_generations, monkeypatch):
-    """On a multi-generation index whose generations share a vocabulary,
-    the default warm-up finds its terms in each file's row group 0."""
-    reads: dict[int, list[int]] = {}
-    orig = pq.ParquetFile.read_row_group
-
-    def counting(self, i, columns=None, **kw):
-        reads.setdefault(id(self), []).append(i)
-        return orig(self, i, columns=columns, **kw)
-
-    with monkeypatch.context() as m:
-        m.setattr(pq.ParquetFile, "read_row_group", counting)
-        reader = IndexReader(auto_generations)
-    assert len(reader._pf) == 3
-    assert sorted(reads.values()) == [[0], [0], [0]]
-    assert len(reader._cache) == 64
+    idx = tmp_path / "idx"
+    build_index(pages_1k, idx, CFG)
+    compact_index(idx, CFG)
+    for f in sorted((idx / "segments").glob("*.parquet")):
+        pq.write_table(postfile.segment_table(f), f)
+        f.with_suffix(".post").unlink()
+    manifest = idx / "_manifests" / "phase-segments.json"
+    m = read_json(manifest)
+    atomic_write_json(manifest, dict(m, key=m["key"].rsplit("-", 1)[0]))
+    for open_ in (IndexReader, SearchEngine):
+        with pytest.raises(ValueError, match="compact_index"):
+            open_(idx)
+    compact_index(idx, CFG)
+    assert sorted(f.suffix for f in (idx / "segments").iterdir()) == [".parquet", ".post"]
+    eng = SearchEngine(idx)
+    for q in generate_queries(15, seed=5).to_pylist():
+        assert eng.topk(q["query"], q["k"]) == oracle_1k.topk(q["query"], q["k"])
